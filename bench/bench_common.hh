@@ -117,9 +117,8 @@ benchExecutorOptions()
 {
     harness::ExecutorOptions opts;
     opts.trace = trace::TraceConfig::fromEnv();
-    opts.traceDir = ".";
-    if (const char *d = std::getenv("SCUSIM_ARTIFACT_DIR"))
-        opts.traceDir = d;
+    const char *dir = std::getenv("SCUSIM_ARTIFACT_DIR");
+    opts.traceDir = std::string(dir ? dir : ".");
     return opts;
 }
 

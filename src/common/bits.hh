@@ -116,6 +116,36 @@ mixBits(std::uint64_t k)
     return k;
 }
 
+/**
+ * Division and remainder by a divisor fixed at construction: a shift
+ * and a mask when the divisor is a power of two (every shipped cache
+ * and DRAM geometry), a hardware divide otherwise.
+ */
+class FixedDivisor
+{
+  public:
+    explicit FixedDivisor(std::uint64_t d)
+        : divisor(d), pow2(isPowerOf2(d)), shift(floorLog2(d))
+    {}
+
+    std::uint64_t
+    div(std::uint64_t v) const
+    {
+        return pow2 ? v >> shift : v / divisor;
+    }
+
+    std::uint64_t
+    mod(std::uint64_t v) const
+    {
+        return pow2 ? v & (divisor - 1) : v % divisor;
+    }
+
+  private:
+    std::uint64_t divisor;
+    bool pow2;
+    unsigned shift;
+};
+
 } // namespace scusim
 
 #endif // SCUSIM_COMMON_BITS_HH

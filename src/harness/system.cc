@@ -132,8 +132,12 @@ System::attachTrace()
         return;
     const bool multi = devs.size() > 1;
     for (std::size_t d = 0; d < devs.size(); ++d) {
-        const std::string prefix =
-            multi ? "d" + std::to_string(d) + "." : "";
+        std::string prefix;
+        if (multi) {
+            prefix = "d";
+            prefix += std::to_string(d);
+            prefix += '.';
+        }
         devs[d].gpuModel->attachTrace(*sink, prefix);
         if (devs[d].scuUnit)
             devs[d].scuUnit->attachTrace(*sink, prefix);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/bits.hh"
 #include "common/logging.hh"
 #include "sim/check.hh"
 
@@ -15,6 +14,9 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
       numSets(static_cast<unsigned>(
           p.sizeBytes / (static_cast<std::uint64_t>(p.lineBytes) *
                          p.ways))),
+      lineShift(floorLog2(p.lineBytes)),
+      setDiv(std::max(1u, numSets)),
+      bankDiv(std::max(1u, p.banks)),
       grp(p.name, parent),
       hits(&grp, "hits", "accesses serviced by this level"),
       misses(&grp, "misses", "accesses forwarded downstream"),
@@ -26,26 +28,21 @@ Cache::Cache(const CacheParams &params, MemLevel *downstream,
     panic_if(numSets == 0, "cache '%s' smaller than one set",
              p.name.c_str());
     panic_if(!isPowerOf2(p.lineBytes), "line size must be 2^n");
-    sets.assign(numSets, std::vector<Line>(p.ways));
+    const std::size_t slots =
+        static_cast<std::size_t>(numSets) * p.ways;
+    tags.assign(slots, invalidTag);
+    lastUse.assign(slots, 0);
+    readyAt.assign(slots, 0);
+    dirty.assign(slots, 0);
     bankFree.assign(std::max(1u, p.banks), 0);
 }
 
-unsigned
-Cache::setIndex(Addr line_addr) const
-{
-    // Hash the set index so power-of-two strides (CSR offsets, hash
-    // table rows) do not pathologically alias.
-    return static_cast<unsigned>(
-        mixBits(line_addr / p.lineBytes) % numSets);
-}
-
 Tick
-Cache::reserveBank(Tick issue, Addr line_addr, Tick occupancy)
+Cache::reserveBank(Tick issue, std::uint64_t tag, Tick occupancy)
 {
-    unsigned bank = static_cast<unsigned>(
-        (line_addr / p.lineBytes) % bankFree.size());
-    Tick start = std::max(issue, bankFree[bank]);
-    bankFree[bank] = start + occupancy;
+    Tick &free_at = bankFree[bankDiv.mod(tag)];
+    Tick start = std::max(issue, free_at);
+    free_at = start + occupancy;
     return start;
 }
 
@@ -64,26 +61,64 @@ Cache::acquireMshr(Tick start)
     return start;
 }
 
-Tick
-Cache::fill(Tick start, Addr line_addr, std::vector<Line> &set,
-            std::uint64_t tag, unsigned set_idx, unsigned bytes)
+void
+Cache::evict(Tick start, std::size_t i)
 {
-    (void)set_idx;
-    // Victim selection: LRU among the ways; lines in the protected
-    // (way-locked) region are only victimized by protected fills.
-    const bool filler_protected = isProtected(line_addr);
-    Line *victim = nullptr;
-    for (auto &l : set) {
-        if (!l.valid) {
-            victim = &l;
+    if (dirty[i]) {
+        // Write back the victim. The requester does not wait for it;
+        // it only consumes downstream bandwidth.
+        next->access(start, tags[i] << lineShift, AccessKind::Write,
+                     p.lineBytes);
+        ++writebacks;
+    }
+    if (readyAt[i])
+        evictedPending[tags[i]] = readyAt[i];
+}
+
+void
+Cache::install(std::size_t i, std::uint64_t tag, bool is_dirty,
+               Tick ready)
+{
+    tags[i] = tag;
+    dirty[i] = is_dirty;
+    lastUse[i] = ++lruClock;
+    readyAt[i] = ready;
+}
+
+void
+Cache::purgeReady(Tick issue)
+{
+    for (Tick &r : readyAt) {
+        if (r <= issue)
+            r = 0;
+    }
+    std::erase_if(evictedPending, [issue](const auto &kv) {
+        return kv.second <= issue;
+    });
+}
+
+Tick
+Cache::fill(Tick start, std::uint64_t tag, std::size_t set_base,
+            unsigned bytes, bool is_dirty)
+{
+    // Victim selection: the first empty way, else LRU among the
+    // ways; lines in the protected (way-locked) region are only
+    // victimized by protected fills.
+    constexpr std::size_t noWay = ~std::size_t{0};
+    const bool filler_protected = isProtected(tag);
+    std::size_t victim = noWay;
+    for (std::size_t i = set_base; i < set_base + p.ways; ++i) {
+        if (tags[i] == invalidTag) {
+            victim = i;
             break;
         }
-        if (!filler_protected && isProtected(l.tag * p.lineBytes))
+        if (!filler_protected && isProtected(tags[i]))
             continue;
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
+        if (victim == noWay || lastUse[i] < lastUse[victim])
+            victim = i;
     }
-    if (!victim) {
+    const Addr line_addr = tag << lineShift;
+    if (victim == noWay) {
         // Every way is pinned: service downstream without
         // allocating.
         MemResult down = next->access(start, line_addr,
@@ -93,48 +128,37 @@ Cache::fill(Tick start, Addr line_addr, std::vector<Line> &set,
         outstanding.push(down.complete);
         return down.complete;
     }
-    if (victim->valid && victim->dirty) {
-        // Write back the victim. The requester does not wait for it;
-        // it only consumes downstream bandwidth.
-        Addr victim_addr = victim->tag * p.lineBytes;
-        next->access(start, victim_addr, AccessKind::Write,
-                     p.lineBytes);
-        ++writebacks;
-    }
+    if (tags[victim] != invalidTag)
+        evict(start, victim);
 
     MemResult down = next->access(start, line_addr, AccessKind::Read,
                                   bytes);
     sim::checkMemCompletion("cache downstream", start, down.complete);
-    victim->tag = tag;
-    victim->valid = true;
-    victim->dirty = false;
-    victim->lastUse = ++lruClock;
-
-    Tick done = down.complete;
-    outstanding.push(done);
-    inflight[line_addr] = done;
-    return done;
+    // The fill supersedes any fill tick stashed for this tag.
+    if (!evictedPending.empty())
+        evictedPending.erase(tag);
+    install(victim, tag, is_dirty, down.complete);
+    outstanding.push(down.complete);
+    return down.complete;
 }
 
 MemResult
 Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 {
-    (void)bytes;
-    const Addr line_addr = alignDown(addr, p.lineBytes);
-    const std::uint64_t tag = line_addr / p.lineBytes;
-    const unsigned set_idx = setIndex(line_addr);
-    auto &set = sets[set_idx];
+    const std::uint64_t tag = addr >> lineShift;
+    // Hash the set index so power-of-two strides (CSR offsets, hash
+    // table rows) do not pathologically alias.
+    const std::size_t set_base =
+        static_cast<std::size_t>(setDiv.mod(mixBits(tag))) * p.ways;
 
     Tick occupancy = p.bankCycle +
         (kind == AccessKind::Atomic ? p.atomicExtra : 0);
-    Tick start = reserveBank(issue, line_addr, occupancy);
+    Tick start = reserveBank(issue, tag, occupancy);
 
-    // Keep the in-flight merge table from growing without bound.
+    // Keep the tracked fill ticks from outliving their use.
     if (++accessesSincePurge >= 8192) {
         accessesSincePurge = 0;
-        std::erase_if(inflight, [issue](const auto &kv) {
-            return kv.second <= issue;
-        });
+        purgeReady(issue);
     }
 
     if (kind == AccessKind::Atomic)
@@ -146,31 +170,30 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
                          kind == AccessKind::ReadNoAlloc;
 
     // Tag lookup.
-    for (auto &l : set) {
-        if (l.valid && l.tag == tag) {
-            l.lastUse = ++lruClock;
-            if (!is_read)
-                l.dirty = true;
-            ++hits;
-            MemResult r;
-            r.hit = true;
-            // A hit on a line whose fill is still in flight waits for
-            // the fill (secondary miss merged into the MSHR).
-            Tick avail = start + p.hitLatency;
-            auto it = inflight.find(line_addr);
-            if (it != inflight.end()) {
-                if (it->second > start)
-                    avail = std::max(avail, it->second);
-                else
-                    inflight.erase(it);
-            }
-            r.complete = is_write ? start + 1 : avail;
-            return r;
-        }
+    for (std::size_t i = set_base; i < set_base + p.ways; ++i) {
+        if (tags[i] != tag)
+            continue;
+        lastUse[i] = ++lruClock;
+        if (!is_read)
+            dirty[i] = 1;
+        ++hits;
+        MemResult r;
+        r.hit = true;
+        // A hit on a line whose fill is still in flight waits for
+        // the fill (secondary miss merged into the MSHR); a hit at
+        // or after it retires the fill tick.
+        Tick avail = start + p.hitLatency;
+        if (readyAt[i] > start)
+            avail = std::max(avail, readyAt[i]);
+        else
+            readyAt[i] = 0;
+        r.complete = is_write ? start + 1 : avail;
+        return r;
     }
 
     // Miss.
     ++misses;
+    const Addr line_addr = tag << lineShift;
 
     if (kind == AccessKind::WriteNoAlloc) {
         // Streaming store: forward downstream, keep the cache clean.
@@ -199,47 +222,41 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     if (kind == AccessKind::Write) {
         // Write-validate: a line-granular store allocates the line
         // without fetching it (GPU L2 behaviour); no read-for-
-        // ownership traffic is generated.
-        Line *victim = &set[0];
-        for (auto &l : set) {
-            if (!l.valid) {
-                victim = &l;
+        // ownership traffic is generated. The victim is plain LRU
+        // (way-locking is not consulted), and the line inherits the
+        // fill tick of an evicted copy still tracked.
+        std::size_t victim = set_base;
+        for (std::size_t i = set_base; i < set_base + p.ways; ++i) {
+            if (tags[i] == invalidTag) {
+                victim = i;
                 break;
             }
-            if (l.lastUse < victim->lastUse)
-                victim = &l;
+            if (lastUse[i] < lastUse[victim])
+                victim = i;
         }
-        if (victim->valid && victim->dirty) {
-            next->access(start, victim->tag * p.lineBytes,
-                         AccessKind::Write, p.lineBytes);
-            ++writebacks;
+        if (tags[victim] != invalidTag)
+            evict(start, victim);
+        Tick ready = 0;
+        if (auto it = evictedPending.find(tag);
+            it != evictedPending.end()) {
+            ready = it->second;
+            evictedPending.erase(it);
         }
-        victim->tag = tag;
-        victim->valid = true;
-        victim->dirty = true;
-        victim->lastUse = ++lruClock;
+        install(victim, tag, true, ready);
         MemResult wr;
         wr.hit = false;
         wr.complete = start + 1;
         return wr;
     }
 
+    // Read or Atomic (which dirties the line): allocate through an
+    // MSHR.
     start = acquireMshr(start);
-    Tick fill_done = fill(start, line_addr, set, tag, set_idx, bytes);
-
-    // Mark dirtiness after the fill installed the line.
-    if (!is_read) {
-        for (auto &l : set) {
-            if (l.valid && l.tag == tag) {
-                l.dirty = true;
-                break;
-            }
-        }
-    }
+    Tick fill_done = fill(start, tag, set_base, bytes, !is_read);
 
     MemResult r;
     r.hit = false;
-    r.complete = is_write ? start + 1 : fill_done + p.hitLatency;
+    r.complete = fill_done + p.hitLatency;
     sim::checkMemCompletion(p.name.c_str(), issue, r.complete);
     return r;
 }
@@ -247,19 +264,20 @@ Cache::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
 void
 Cache::invalidateAll(Tick now)
 {
-    for (auto &set : sets) {
-        for (auto &l : set) {
-            // Timing model only: dirty data is not lost functionally,
-            // but the writeback traffic must be accounted.
-            if (l.valid && l.dirty) {
-                next->access(now, l.tag * p.lineBytes,
-                             AccessKind::Write, p.lineBytes);
-                ++writebacks;
-            }
-            l = Line{};
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        // Timing model only: dirty data is not lost functionally,
+        // but the writeback traffic must be accounted.
+        if (tags[i] != invalidTag && dirty[i]) {
+            next->access(now, tags[i] << lineShift, AccessKind::Write,
+                         p.lineBytes);
+            ++writebacks;
         }
     }
-    inflight.clear();
+    std::fill(tags.begin(), tags.end(), invalidTag);
+    std::fill(lastUse.begin(), lastUse.end(), 0);
+    std::fill(readyAt.begin(), readyAt.end(), 0);
+    std::fill(dirty.begin(), dirty.end(), 0);
+    evictedPending.clear();
 }
 
 } // namespace scusim::mem

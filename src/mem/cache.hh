@@ -7,6 +7,9 @@
  * The model is tag-only: functional data lives in host arrays (see
  * mem/address_space.hh); the cache tracks presence, dirtiness and
  * resource occupancy to produce completion ticks and activity counts.
+ * Line state is held in flat per-cache arrays indexed by
+ * set * ways + way; DESIGN.md ("Cache and SCU-window timing") gives
+ * the in-flight fill rules.
  */
 
 #ifndef SCUSIM_MEM_CACHE_HH
@@ -17,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "stats/stats.hh"
@@ -63,8 +67,10 @@ class Cache : public MemLevel
     void
     setProtectedRegion(Addr base, std::uint64_t bytes)
     {
-        protBase = base;
-        protBytes = bytes;
+        // Held as the tag range whose line addresses fall inside
+        // [base, base + bytes).
+        protLo = bytes ? divCeil(base, p.lineBytes) : 0;
+        protHi = bytes ? divCeil(base + bytes, p.lineBytes) : 0;
     }
 
     const CacheParams &params() const { return p; }
@@ -84,48 +90,75 @@ class Cache : public MemLevel
     double numWritebacks() const { return writebacks.value(); }
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = static_cast<std::uint64_t>(-1);
-        bool valid = false;
-        bool dirty = false;
-        Tick lastUse = 0;
-    };
+    /** Tag of an empty way; no line address maps to it. */
+    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
 
     /** Reserve a bank slot; returns the tick the access starts. */
-    Tick reserveBank(Tick issue, Addr line_addr, Tick occupancy);
+    Tick reserveBank(Tick issue, std::uint64_t tag, Tick occupancy);
 
     /** Block until an MSHR is free; returns the adjusted start tick. */
     Tick acquireMshr(Tick start);
 
-    /** Bring a line in from downstream; returns fill-complete tick. */
-    Tick fill(Tick start, Addr line_addr, std::vector<Line> &set,
-              std::uint64_t tag, unsigned set_idx, unsigned bytes);
+    /**
+     * Bring a line in from downstream and install it (dirty if
+     * @p is_dirty); returns the fill-complete tick. When every way
+     * of the set is pinned the line bypasses the cache.
+     */
+    Tick fill(Tick start, std::uint64_t tag, std::size_t set_base,
+              unsigned bytes, bool is_dirty);
 
-    unsigned setIndex(Addr line_addr) const;
+    /**
+     * Empty slot @p i: write it back if dirty and, if its fill is
+     * still tracked, stash the fill tick by tag.
+     */
+    void evict(Tick start, std::size_t i);
+
+    /** Install @p tag in slot @p i (pending-fill tick @p ready). */
+    void install(std::size_t i, std::uint64_t tag, bool is_dirty,
+                 Tick ready);
+
+    /** Forget every tracked fill that completed by @p issue. */
+    void purgeReady(Tick issue);
+
+    bool
+    isProtected(std::uint64_t tag) const
+    {
+        return tag - protLo < protHi - protLo;
+    }
 
     CacheParams p;
     MemLevel *next;
     unsigned numSets;
-    std::vector<std::vector<Line>> sets;
+    unsigned lineShift;
+    FixedDivisor setDiv;
+    FixedDivisor bankDiv;
+
+    /** Per-slot line state, slot = set * ways + way. */
+    std::vector<std::uint64_t> tags;
+    std::vector<Tick> lastUse;
+    /**
+     * Completion tick of the fill that brought the line in, 0 once a
+     * hit at or after it (or a purge) has retired it. A hit before it
+     * waits for the fill (secondary miss merged into the MSHR).
+     */
+    std::vector<Tick> readyAt;
+    std::vector<std::uint8_t> dirty;
     std::vector<Tick> bankFree;
 
     /** Completion ticks of outstanding misses (MSHR occupancy). */
     std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
         outstanding;
-    /** In-flight line fills, for secondary-miss merging. */
-    std::unordered_map<Addr, Tick> inflight;
+    /**
+     * Tracked fill ticks of lines evicted before their fill was
+     * retired, by tag; a write-validate allocation of the tag
+     * inherits it. Holds no resident tag.
+     */
+    std::unordered_map<std::uint64_t, Tick> evictedPending;
     Tick lruClock = 0;
     std::uint64_t accessesSincePurge = 0;
-    Addr protBase = 0;
-    std::uint64_t protBytes = 0;
-
-    bool
-    isProtected(Addr a) const
-    {
-        return protBytes && a >= protBase &&
-               a < protBase + protBytes;
-    }
+    /** Protected (way-locked) tags: [protLo, protHi). */
+    std::uint64_t protLo = 0;
+    std::uint64_t protHi = 0;
 
     stats::StatGroup grp;
     stats::Scalar hits, misses, writebacks, atomicOps;

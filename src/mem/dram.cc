@@ -45,6 +45,8 @@ DramParams::lpddr4()
 Dram::Dram(const DramParams &params, const sim::ClockDomain &clock,
            stats::StatGroup *parent)
     : p(params),
+      lineDiv(p.lineBytes), chanDiv(p.channels), rowDiv(p.rowBytes),
+      bankDiv(p.banksPerChannel),
       tCas(clock.fromNs(p.tCasNs)),
       tRcd(clock.fromNs(p.tRcdNs)),
       tRp(clock.fromNs(p.tRpNs)),
@@ -73,12 +75,12 @@ Dram::map(Addr addr, unsigned &channel, unsigned &bank,
     // Line-interleave across channels for streaming bandwidth, then
     // row-granular interleave across banks so sequential streams get
     // long row hits and bank-level parallelism.
-    std::uint64_t line = addr / p.lineBytes;
-    channel = static_cast<unsigned>(line % p.channels);
-    std::uint64_t addr_in_chan = (line / p.channels) * p.lineBytes;
-    std::uint64_t row_global = addr_in_chan / p.rowBytes;
-    bank = static_cast<unsigned>(row_global % p.banksPerChannel);
-    row = row_global / p.banksPerChannel;
+    std::uint64_t line = lineDiv.div(addr);
+    channel = static_cast<unsigned>(chanDiv.mod(line));
+    std::uint64_t addr_in_chan = chanDiv.div(line) * p.lineBytes;
+    std::uint64_t row_global = rowDiv.div(addr_in_chan);
+    bank = static_cast<unsigned>(bankDiv.mod(row_global));
+    row = bankDiv.div(row_global);
 }
 
 MemResult

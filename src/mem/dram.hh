@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 #include "sim/clock.hh"
@@ -101,6 +102,7 @@ class Dram : public MemLevel
              std::uint64_t &row) const;
 
     DramParams p;
+    FixedDivisor lineDiv, chanDiv, rowDiv, bankDiv;
     Tick tCas, tRcd, tRp, tIo;
     Tick busCyclesPerLine;
     std::vector<Channel> chans;

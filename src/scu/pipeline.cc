@@ -1,10 +1,8 @@
 #include "scu/pipeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/bits.hh"
-#include "common/logging.hh"
 #include "sim/check.hh"
 
 namespace scusim::scu
@@ -16,17 +14,18 @@ constexpr Addr noLine = static_cast<Addr>(-1);
 } // namespace
 
 ScuPipeline::ScuPipeline(const ScuParams &params, mem::MemSystem &m,
-                         Tick start)
+                         RadixQueue &window, Tick start)
     : p(params), mem(m), startTick(start + params.opSetupCycles),
       txnIssue(startTick), memReady(startTick),
       lastGatherLine(noLine), lastWriteLine(noLine),
-      lastHashLine(noLine)
+      lastHashLine(noLine), inflight(window)
 {
     lastLine.fill(noLine);
+    inflight.clear();
 }
 
 std::size_t
-ScuPipeline::inflightLimit() const
+ScuPipeline::readWindowSlots(const ScuParams &p)
 {
     // The Data Fetch FIFO (38 KB, Table 1) tracks outstanding read
     // requests at 4 B per descriptor: the unit tolerates full memory
@@ -52,7 +51,7 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
     ++readsIssued;
     while (!inflight.empty() && inflight.top() <= t)
         inflight.pop();
-    if (inflight.size() >= inflightLimit()) {
+    if (inflight.size() >= inflight.capacity()) {
         t = std::max(t, inflight.top());
         inflight.pop();
     }
@@ -60,11 +59,15 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
     // in-memory hash tables stay cache resident.
     auto r = mem.access(t, line_addr, mem::AccessKind::ReadNoAlloc,
                         bytes);
-    inflight.push(r.complete);
+    // t never decreases within an operation, so the queue's floor
+    // never passes it. A completion below t (only a MemReorder fault
+    // makes one) is retired by the next call's purge before any
+    // decision reads it, as r.complete itself would be.
+    inflight.push(std::max(r.complete, t));
     traffic.maxInflight =
         std::max<std::uint64_t>(traffic.maxInflight, inflight.size());
     sim::checkOccupancy("scu inflight window", inflight.size(),
-                        inflightLimit());
+                        inflight.capacity());
     memReady = std::max(memReady, r.complete);
     txnIssue = t;
     ++traffic.readTxns;
@@ -156,18 +159,6 @@ ScuPipeline::finish()
     const Tick ports =
         std::max({portTick(readsIssued), portTick(storesIssued),
                   portTick(hashIssued)});
-    if (std::getenv("SCUSIM_TRACE_OPS") && traffic.elements > 4096) {
-        inform("scu-op elems=%llu thr=%llu memReady=%llu "
-               "ports=%llu (r=%llu s=%llu h=%llu) start=%llu",
-               (unsigned long long)traffic.elements,
-               (unsigned long long)(throughput - startTick),
-               (unsigned long long)(memReady - startTick),
-               (unsigned long long)(ports - startTick),
-               (unsigned long long)readsIssued,
-               (unsigned long long)storesIssued,
-               (unsigned long long)hashIssued,
-               (unsigned long long)startTick);
-    }
     return std::max({throughput, memReady, txnIssue, ports}) +
            p.opDrainCycles;
 }

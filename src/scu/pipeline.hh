@@ -20,10 +20,10 @@
 #define SCUSIM_SCU_PIPELINE_HH
 
 #include <array>
-#include <queue>
 
 #include "common/types.hh"
 #include "mem/mem_system.hh"
+#include "scu/radix_queue.hh"
 #include "scu/scu_config.hh"
 
 namespace scusim::scu
@@ -54,8 +54,16 @@ struct PipelineTraffic
 class ScuPipeline
 {
   public:
+    /**
+     * @p window holds the operation's in-flight read completions and
+     * its capacity bounds them; it is emptied here and reused by the
+     * owner's next operation so its storage is allocated once.
+     */
     ScuPipeline(const ScuParams &params, mem::MemSystem &mem,
-                Tick start);
+                RadixQueue &window, Tick start);
+
+    /** Outstanding-read budget from the request FIFO capacity. */
+    static std::size_t readWindowSlots(const ScuParams &params);
 
     /** Account @p n element slots through the pipeline. */
     void
@@ -99,9 +107,6 @@ class ScuPipeline
     /** Issue tick of the n-th transaction of a width-scaled port. */
     Tick portTick(std::uint64_t issued) const;
 
-    /** Outstanding-read budget from the request FIFO capacity. */
-    std::size_t inflightLimit() const;
-
     const ScuParams &p;
     mem::MemSystem &mem;
     Tick startTick;
@@ -121,8 +126,12 @@ class ScuPipeline
     Addr lastWriteLine;
     Addr lastHashLine;
 
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        inflight;
+    /**
+     * Completion ticks of reads in flight. Read issue ticks never
+     * decrease within an operation, which is what lets a monotone
+     * radix queue stand in for a heap (DESIGN.md).
+     */
+    RadixQueue &inflight;
 
     PipelineTraffic traffic;
 };

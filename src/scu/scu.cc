@@ -44,6 +44,7 @@ Scu::Scu(const ScuParams &params, mem::MemSystem &mem,
          sim::Simulation &simulation, mem::AddressSpace &as,
          stats::StatGroup *parent)
     : p(params), memSys(mem), sim(simulation),
+      readWindow(ScuPipeline::readWindowSlots(p)),
       uniqueTable(std::make_unique<UniqueFilterTable>(
           p.filterBfsHash, as)),
       uniqueTable2(std::make_unique<UniqueFilterTable>(
@@ -250,7 +251,7 @@ Scu::bitmaskConstructor(const Elems &in, std::size_t n, CompareOp op,
     panic_if(out.size() < n, "bitmask output too small");
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
     for (std::size_t i = 0; i < n; ++i) {
         pipe.elements(1);
@@ -270,7 +271,7 @@ Scu::dataCompaction(const Elems &in, std::size_t n, const Flags *mask,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -297,7 +298,7 @@ Scu::accessCompaction(const Elems &data, const Elems &indexes,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -329,7 +330,7 @@ Scu::replicationCompaction(const Elems &in, const Elems &count,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;
@@ -362,7 +363,7 @@ Scu::accessExpansionCompaction(const Elems &data, const Elems &indexes,
 {
     ScuOpStats st;
     st.start = sim.now();
-    ScuPipeline pipe(p, memSys, st.start);
+    ScuPipeline pipe(p, memSys, readWindow, st.start);
     st.elemsIn = n;
 
     std::vector<std::uint32_t> produced;

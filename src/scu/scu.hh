@@ -215,6 +215,8 @@ class Scu
     const ScuParams p;
     mem::MemSystem &memSys;
     sim::Simulation &sim;
+    /** Read window of the operation in flight (one at a time). */
+    RadixQueue readWindow;
 
     std::unique_ptr<UniqueFilterTable> uniqueTable;
     std::unique_ptr<UniqueFilterTable> uniqueTable2;

@@ -71,8 +71,11 @@ deviceFor(const std::string &channel)
         if (i > 1 && i < channel.size() && channel[i] == '.') {
             const int k = std::atoi(channel.substr(1, i - 1).c_str());
             const Device base = deviceFor(channel.substr(i + 1));
-            return {10 + 4 * k + base.pid,
-                    "d" + std::to_string(k) + "." + base.name};
+            std::string name = "d";
+            name += std::to_string(k);
+            name += '.';
+            name += base.name;
+            return {10 + 4 * k + base.pid, name};
         }
     }
     return {0, "sim"};

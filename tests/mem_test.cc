@@ -176,6 +176,8 @@ namespace
 class FakeMem : public MemLevel
 {
   public:
+    Tick readLatency = 200;
+
     MemResult
     access(Tick issue, Addr, AccessKind kind, unsigned) override
     {
@@ -186,7 +188,7 @@ class FakeMem : public MemLevel
             return {issue + 1, false};
         }
         ++reads;
-        return {issue + 200, false};
+        return {issue + readLatency, false};
     }
 
     int accesses = 0, reads = 0, writes = 0;
@@ -333,6 +335,145 @@ TEST(Cache, MshrLimitDelaysBursts)
         last = std::max(last, r.complete);
     }
     EXPECT_GT(last, 400u);
+}
+
+TEST(Cache, HitOnLineInFlightWaitsForTheFill)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    Cache c(smallCache(), &dram, &g);
+
+    // The miss's fill lands at tick 200 (FakeMem latency).
+    auto miss = c.access(0, 0x1000, AccessKind::Read, 128);
+    EXPECT_EQ(miss.complete, 210u);
+    // A hit issued while the fill is in flight waits for it.
+    auto early = c.access(5, 0x1000, AccessKind::Read, 128);
+    EXPECT_TRUE(early.hit);
+    EXPECT_EQ(early.complete, 200u);
+    // A hit after the fill sees plain hit latency.
+    auto late = c.access(300, 0x1000, AccessKind::Read, 128);
+    EXPECT_TRUE(late.hit);
+    EXPECT_EQ(late.complete, 310u);
+    EXPECT_EQ(dram.reads, 1);
+}
+
+TEST(Cache, WriteValidateReallocationInheritsPendingFill)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    CacheParams p = smallCache();
+    p.sizeBytes = 16 * 128; // one set: any 16 other lines evict
+    p.mshrs = 64;
+    Cache c(p, &dram, &g);
+
+    const Addr a = 0x10000;
+    const Tick fill_done =
+        c.access(0, a, AccessKind::Read, 128).complete - p.hitLatency;
+    ASSERT_EQ(fill_done, 200u);
+    // Evict a while its fill is still in flight.
+    for (Addr k = 1; k <= 16; ++k)
+        c.access(k, a + k * 128, AccessKind::Read, 128);
+    // A line-granular store re-allocates a without fetching it; the
+    // copy inherits the evicted copy's pending fill, so a read
+    // before tick 200 still waits for it.
+    auto wr = c.access(20, a, AccessKind::Write, 128);
+    EXPECT_FALSE(wr.hit);
+    auto r = c.access(30, a, AccessKind::Read, 128);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.complete, fill_done);
+    EXPECT_EQ(dram.reads, 17);
+}
+
+TEST(Cache, InvalidateAllDropsPendingFills)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    CacheParams p = smallCache();
+    p.sizeBytes = 16 * 128; // one set
+    p.mshrs = 64;
+    Cache c(p, &dram, &g);
+
+    const Addr b = 0x20000, a = 0x10000;
+    c.access(0, b, AccessKind::Read, 128); // fill lands at 200
+    c.access(1, a, AccessKind::Read, 128); // fill lands at 201
+    // Fifteen more lines fill the set and evict b mid-fill.
+    for (Addr k = 1; k <= 15; ++k)
+        c.access(1 + k, a + k * 128, AccessKind::Read, 128);
+    c.invalidateAll(20);
+    // Re-allocated by write-validate after the invalidation, neither
+    // the resident a nor the evicted b keeps its old fill: reads hit
+    // at hit latency.
+    c.access(21, a, AccessKind::Write, 128);
+    c.access(22, b, AccessKind::Write, 128);
+    auto ra = c.access(23, a, AccessKind::Read, 128);
+    auto rb = c.access(24, b, AccessKind::Read, 128);
+    EXPECT_TRUE(ra.hit);
+    EXPECT_TRUE(rb.hit);
+    EXPECT_EQ(ra.complete, 23 + p.hitLatency);
+    EXPECT_EQ(rb.complete, 24 + p.hitLatency);
+}
+
+TEST(Cache, FillSupersedesAStashedFillTick)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    CacheParams p = smallCache();
+    p.sizeBytes = 16 * 128; // one set
+    p.mshrs = 64;
+    Cache c(p, &dram, &g);
+
+    const Addr a = 0x10000;
+    dram.readLatency = 1000;
+    c.access(0, a, AccessKind::Read, 128); // slow fill: lands at 1000
+    dram.readLatency = 10;
+    for (Addr k = 1; k <= 16; ++k) // evict a mid-fill
+        c.access(k, a + k * 128, AccessKind::Read, 128);
+    // Refetched by a fast fill that lands at 30, which a hit at 40
+    // retires; then evicted again.
+    c.access(20, a, AccessKind::Read, 128);
+    EXPECT_TRUE(c.access(40, a, AccessKind::Read, 128).hit);
+    for (Addr k = 17; k <= 32; ++k)
+        c.access(24 + k, a + k * 128, AccessKind::Read, 128);
+    // A write-validate allocation now inherits nothing: the slow
+    // fill's tick died with the refetch.
+    c.access(60, a, AccessKind::Write, 128);
+    auto r = c.access(70, a, AccessKind::Read, 128);
+    EXPECT_TRUE(r.hit);
+    EXPECT_EQ(r.complete, 70 + p.hitLatency);
+}
+
+TEST(Cache, PurgeRetiresFillsCompletedByTheIssueTick)
+{
+    FakeMem dram;
+    stats::StatGroup g("t");
+    CacheParams p = smallCache();
+    p.sizeBytes = 16 * 128; // one set
+    p.banks = 2;            // even tags on bank 0, odd on bank 1
+    p.mshrs = 64;
+    Cache c(p, &dram, &g);
+
+    const Addr b = 0x20000, a = 0x10000; // both on bank 0
+    c.access(0, b, AccessKind::Read, 128); // fill lands at 200
+    c.access(1, a, AccessKind::Read, 128); // fill lands at 201
+    // Fifteen bank-1 lines fill the set and evict b, the LRU line,
+    // while its fill is in flight.
+    const Addr odd = 0x30080;
+    int n = 2;
+    for (Addr k = 0; k < 15; ++k, ++n)
+        c.access(2 + k, odd + 2 * k * 128, AccessKind::Read, 128);
+    // Bank-1 hits issued at 300 until the 8192nd access purges every
+    // tracked fill tick <= 300.
+    for (; n < 8192; ++n)
+        c.access(300, odd, AccessKind::Read, 128);
+    // Bank 0 is still free at tick 2, so these start before either
+    // fill landed, yet neither waits: the purge retired both ticks.
+    auto ra = c.access(100, a, AccessKind::Read, 128);
+    EXPECT_TRUE(ra.hit);
+    EXPECT_EQ(ra.complete, 100 + p.hitLatency);
+    c.access(110, b, AccessKind::Write, 128); // write-validate
+    auto rb = c.access(120, b, AccessKind::Read, 128);
+    EXPECT_TRUE(rb.hit);
+    EXPECT_EQ(rb.complete, 120 + p.hitLatency);
 }
 
 TEST(Dram, RowBufferLocality)

@@ -126,7 +126,9 @@ TEST_P(PartitionGate, FingerprintIsReproducible)
 INSTANTIATE_TEST_SUITE_P(DeviceCounts, PartitionGate,
                          ::testing::Values(1u, 2u, 3u, 4u),
                          [](const auto &info) {
-                             return "N" + std::to_string(info.param);
+                             std::string name = "N";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(PartitionSingle, OneFragmentIsTheParentGraphVerbatim)

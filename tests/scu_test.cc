@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <queue>
 #include <set>
 
 #include "common/rng.hh"
@@ -17,6 +18,7 @@
 #include "mem/address_space.hh"
 #include "mem/mem_system.hh"
 #include "scu/hash_table.hh"
+#include "scu/radix_queue.hh"
 #include "scu/scu.hh"
 #include "sim/clock.hh"
 #include "sim/simulation.hh"
@@ -532,4 +534,82 @@ TEST(HashTable, GroupingFlushEmitsEverything)
         t.probe(i % 3, i, order, tr);
     t.flush(order);
     EXPECT_EQ(order.size(), 20u);
+}
+
+// ----------------------------------------------------------------
+// The read window's radix queue against a binary heap.
+// ----------------------------------------------------------------
+
+TEST(RadixQueue, PeekDoesNotMoveTheFloor)
+{
+    RadixQueue q(8);
+    q.push(10);
+    q.push(20);
+    q.pop();
+    // Peeking at 20 and not popping it must leave room for keys
+    // between the last pop (10) and 20.
+    EXPECT_EQ(q.top(), 20u);
+    q.push(15);
+    q.push(10);
+    EXPECT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.top(), 10u);
+    q.pop();
+    EXPECT_EQ(q.top(), 15u);
+    q.pop();
+    EXPECT_EQ(q.top(), 20u);
+    q.pop();
+    EXPECT_TRUE(q.empty());
+}
+
+/**
+ * Sequences shaped like ScuPipeline::issueRead: a non-decreasing
+ * issue tick t, pop every key <= t, pop the minimum when the window
+ * is full, push a completion. Some completions land below t (but not
+ * below the last pop), as a reordered memory response would. Top and
+ * size must match the heap's at every step; the queue is cleared and
+ * reused between operations, as the SCU reuses it.
+ */
+TEST(RadixQueue, MatchesBinaryHeapOnReadWindowTraces)
+{
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        Rng rng(seed);
+        const std::size_t limit = 16 + rng.below(400);
+        RadixQueue rq(limit);
+        for (int op = 0; op < 4; ++op) {
+            rq.clear();
+            std::priority_queue<Tick, std::vector<Tick>,
+                                std::greater<Tick>>
+                pq;
+            Tick t = rng.below(1 << 20);
+            Tick last_pop = 0;
+            auto pop_both = [&] {
+                ASSERT_EQ(rq.top(), pq.top());
+                last_pop = pq.top();
+                pq.pop();
+                rq.pop();
+            };
+            for (int i = 0; i < 20000; ++i) {
+                t += rng.below(3);
+                while (!pq.empty() && pq.top() <= t)
+                    pop_both();
+                if (!pq.empty()) {
+                    ASSERT_EQ(rq.top(), pq.top()); // peek, no pop
+                }
+                if (pq.size() >= rq.capacity()) {
+                    t = std::max(t, pq.top());
+                    pop_both();
+                }
+                Tick key = t + rng.below(1000);
+                if (rng.chance(0.05))
+                    key = last_pop + rng.below(t - last_pop + 1);
+                pq.push(key);
+                rq.push(key);
+                ASSERT_EQ(rq.size(), pq.size());
+                ASSERT_EQ(rq.top(), pq.top());
+            }
+            while (!pq.empty())
+                pop_both();
+            EXPECT_TRUE(rq.empty());
+        }
+    }
 }

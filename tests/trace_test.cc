@@ -41,6 +41,15 @@ smallRing(std::size_t capacity, std::uint32_t mask = maskAll)
     return cfg;
 }
 
+/** Name of the @p i-th numbered test event, "e<i>". */
+std::string
+eventName(std::uint64_t i)
+{
+    std::string name = "e";
+    name += std::to_string(i);
+    return name;
+}
+
 /**
  * Minimal structural JSON check: braces/brackets balance outside of
  * string literals and the document is a single object. Good enough to
@@ -97,8 +106,7 @@ TEST(TraceChannel, RingOverflowKeepsTheNewestEvents)
     ASSERT_NE(ch, nullptr);
 
     for (std::uint64_t i = 0; i < 10; ++i)
-        ch->instant(Category::Kernel, "e" + std::to_string(i), i * 100,
-                    i);
+        ch->instant(Category::Kernel, eventName(i), i * 100, i);
 
     EXPECT_EQ(ch->size(), 4u);
     EXPECT_EQ(ch->recorded(), 10u);
@@ -108,7 +116,7 @@ TEST(TraceChannel, RingOverflowKeepsTheNewestEvents)
     ASSERT_EQ(events.size(), 4u);
     // Oldest-first, and only the newest four survive the overflow.
     for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_EQ(events[i].name, "e" + std::to_string(i + 6));
+        EXPECT_EQ(events[i].name, eventName(i + 6));
         EXPECT_EQ(events[i].arg, i + 6);
         EXPECT_EQ(events[i].start, (i + 6) * 100);
     }
