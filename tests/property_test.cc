@@ -12,6 +12,8 @@
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include "common/rng.hh"
 #include "graph/datasets.hh"
@@ -340,9 +342,11 @@ INSTANTIATE_TEST_SUITE_P(Streams, DramProperty,
 // Generator properties across scales.
 // ----------------------------------------------------------------
 
+// The dataset name is a std::string, not a const char *: gtest prints
+// a pointer parameter with its address, which would put an
+// ASLR-dependent value into the discovered test names.
 class GeneratorScaleProperty
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, double>>
+    : public ::testing::TestWithParam<std::tuple<std::string, double>>
 {
 };
 
