@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "common/logging.hh"
 #include "sim/check.hh"
 #include "sim/fault.hh"
 #include "sim/simulation.hh"
-#include "trace/profiler.hh"
 #include "trace/trace.hh"
 
 namespace scusim::gpu
@@ -29,15 +27,6 @@ StreamingMultiprocessor::defaultIssuePath()
     const int o = pathOverride.load(std::memory_order_relaxed);
     if (o >= 0)
         return static_cast<SmIssuePath>(o);
-    if (const char *s = std::getenv("SCUSIM_SM_PATH")) {
-        const std::string v = s;
-        if (v == "reference")
-            return SmIssuePath::Reference;
-        if (!v.empty() && v != "soa")
-            warn("ignoring unknown SCUSIM_SM_PATH='%s' "
-                 "(want 'soa' or 'reference')",
-                 s);
-    }
     return SmIssuePath::SoaMasked;
 }
 
@@ -438,7 +427,6 @@ StreamingMultiprocessor::tickReference(Tick now)
 void
 StreamingMultiprocessor::tick(Tick now)
 {
-    SCUSIM_PROFILE_SCOPE("Sm::tick");
     if (simPtr) {
         // An injected FIFO stall: the SM stays busy but cannot
         // drain, so its progress counter freezes and the deadlock

@@ -134,8 +134,7 @@ class StreamingMultiprocessor : public sim::Clocked
     SmIssuePath issuePath() const { return path; }
 
     /**
-     * Issue path new SMs use: the override if set, else
-     * SCUSIM_SM_PATH=soa|reference, else SoaMasked.
+     * Issue path new SMs use: the override if set, else SoaMasked.
      */
     static SmIssuePath defaultIssuePath();
     /** Process-wide override (tests/bench); survives until cleared. */

@@ -180,9 +180,6 @@ unsigned executorJobs(const ExecutorOptions &opts = {});
  * run seeded with @p seed: exponential in the attempt, capped at
  * @p capMs, jittered into [delay/2, delay] by a generator seeded
  * from (seed, attempt) — pure function, reproducible everywhere.
- * The service client applies the same policy to Overloaded /
- * ConnectionLost replies, so daemon retry traffic is as predictable
- * as executor retries.
  */
 unsigned retryBackoffMs(std::uint64_t seed, unsigned attempt,
                         unsigned baseMs, unsigned capMs);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -28,15 +27,6 @@ Simulation::defaultScheduler()
     const int o = schedOverride.load(std::memory_order_relaxed);
     if (o >= 0)
         return static_cast<SchedulerMode>(o);
-    if (const char *s = std::getenv("SCUSIM_SCHEDULER")) {
-        const std::string v = s;
-        if (v == "polling")
-            return SchedulerMode::Polling;
-        if (!v.empty() && v != "event")
-            warn("ignoring unknown SCUSIM_SCHEDULER='%s' "
-                 "(want 'event' or 'polling')",
-                 s);
-    }
     return SchedulerMode::EventDriven;
 }
 

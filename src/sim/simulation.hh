@@ -98,8 +98,7 @@ class Simulation
 
     /**
      * The mode new Simulations start in: the process-wide override
-     * (below) if set, else SCUSIM_SCHEDULER from the environment
-     * ("polling" or "event"), else EventDriven.
+     * (below) if set, else EventDriven.
      */
     static SchedulerMode defaultScheduler();
 

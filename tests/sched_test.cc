@@ -4,13 +4,12 @@
  * exactly the trajectory of the reference polling loop. Full stats
  * dumps — every counter of every component — are compared byte for
  * byte across both modes for every primitive on both systems, plus
- * unit tests of the mode plumbing (env default, process override,
+ * unit tests of the mode plumbing (default, process override,
  * per-instance setScheduler) and of notifyWake re-arming.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -93,22 +92,15 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SchedulerMode_, DefaultResolutionOrder)
 {
-    ::unsetenv("SCUSIM_SCHEDULER");
     EXPECT_EQ(Simulation::defaultScheduler(),
               SchedulerMode::EventDriven);
-    ::setenv("SCUSIM_SCHEDULER", "polling", 1);
-    EXPECT_EQ(Simulation::defaultScheduler(),
-              SchedulerMode::Polling);
-    ::setenv("SCUSIM_SCHEDULER", "event", 1);
-    EXPECT_EQ(Simulation::defaultScheduler(),
-              SchedulerMode::EventDriven);
-    // The process-wide override out-ranks the environment.
-    ::setenv("SCUSIM_SCHEDULER", "event", 1);
+    // The process-wide override out-ranks the default until cleared.
     Simulation::overrideDefaultScheduler(SchedulerMode::Polling);
     EXPECT_EQ(Simulation::defaultScheduler(),
               SchedulerMode::Polling);
     Simulation::clearDefaultSchedulerOverride();
-    ::unsetenv("SCUSIM_SCHEDULER");
+    EXPECT_EQ(Simulation::defaultScheduler(),
+              SchedulerMode::EventDriven);
 
     Simulation simDefault;
     EXPECT_EQ(simDefault.scheduler(), SchedulerMode::EventDriven);

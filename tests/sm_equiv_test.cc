@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -105,23 +104,16 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SmIssuePath_, DefaultResolutionOrder)
 {
-    ::unsetenv("SCUSIM_SM_PATH");
     EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
               SmIssuePath::SoaMasked);
-    ::setenv("SCUSIM_SM_PATH", "reference", 1);
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::Reference);
-    ::setenv("SCUSIM_SM_PATH", "soa", 1);
-    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
-              SmIssuePath::SoaMasked);
-    // The process-wide override out-ranks the environment.
-    ::setenv("SCUSIM_SM_PATH", "soa", 1);
+    // The process-wide override out-ranks the default until cleared.
     StreamingMultiprocessor::overrideDefaultIssuePath(
         SmIssuePath::Reference);
     EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
               SmIssuePath::Reference);
     StreamingMultiprocessor::clearDefaultIssuePathOverride();
-    ::unsetenv("SCUSIM_SM_PATH");
+    EXPECT_EQ(StreamingMultiprocessor::defaultIssuePath(),
+              SmIssuePath::SoaMasked);
 }
 
 /**
