@@ -22,7 +22,7 @@
 #include <set>
 #include <vector>
 
-#include "alg/gpu_primitives.hh"
+#include "alg/operators.hh"
 #include "alg/graph_buffers.hh"
 #include "graph/datasets.hh"
 #include "harness/system.hh"

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "alg/graph_buffers.hh"
-#include "alg/gpu_primitives.hh"
+#include "alg/operators.hh"
 #include "alg/options.hh"
 #include "graph/csr.hh"
 #include "graph/partition.hh"
@@ -95,7 +95,7 @@ class BfsRunner
     const graph::Fragment *frag = nullptr;
     const graph::CsrGraph &g;
     GraphBuffers gb;
-    CompactionScratch scratch;
+    Operators ops;
 
     Elems dist;
     Elems visitedBits;
@@ -113,8 +113,6 @@ class BfsRunner
     std::vector<NodeId> cullTable;
 
     std::size_t nf_n = 0;   ///< current frontier population
-    bool use_scu = false;
-    bool enhanced = false;
 };
 
 } // namespace scusim::alg

@@ -1,5 +1,6 @@
 #include "alg/pagerank.hh"
 
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -38,8 +39,7 @@ PageRankRunner::PageRankRunner(harness::System &s, DeviceId d,
     : sys(s), dev(d), part(p),
       frag(p ? &p->fragment(d) : nullptr), g(graph),
       gb(s.addressSpace(d), graph),
-      scratch(s.addressSpace(d),
-              static_cast<std::size_t>(graph.numEdges()) + 1024)
+      ops(s, d, static_cast<std::size_t>(graph.numEdges()) + 1024)
 {
     auto &as = sys.addressSpace(dev);
     const auto n = static_cast<std::size_t>(g.numNodes());
@@ -60,7 +60,7 @@ void
 PageRankRunner::beginRun(const AlgOptions &opt)
 {
     const auto n = static_cast<std::size_t>(g.numNodes());
-    use_scu = opt.mode != harness::ScuMode::GpuOnly;
+    ops.begin(opt.mode);
 
     // Initialization: rank <- 1, accumulators <- 0.
     for (std::size_t u = 0; u < n; ++u) {
@@ -108,44 +108,15 @@ PageRankRunner::iterate(AlgMetrics &m,
             rec.store(indexes.addrOf(t), 4);
         },
         dev);
-    m.rawExpanded += g.numEdges();
 
-    // --- Expansion ----------------------------------------------
-    std::size_t ef_n = 0;
-    if (!use_scu) {
-        ExpandOutput oe{
-            &edgeFrontier,
-            [&](std::size_t i, std::uint32_t j,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
-                const std::uint32_t e = indexes[i] + j;
-                rec.load(gb.edges.addrOf(e), 4);
-                return gb.edges[e];
-            }};
-        ExpandOutput ow{
-            &weightFrontier,
-            [&](std::size_t i, std::uint32_t,
-                gpu::ThreadRecorder &rec) -> std::uint32_t {
-                rec.load(contribBits.addrOf(i), 4);
-                return contribBits[i];
-            }};
-        std::array<ExpandOutput, 2> outs{oe, ow};
-        ef_n = gpuExpand(sys, counts, n, outs, scratch,
-                         "pr_expand", dev);
-    } else {
-        auto &scu = sys.scuDevice(dev);
-        sys.scuSection(dev, [&] {
-            // Algorithm 3: edge frontier + replicated,
-            // pre-divided ranks.
-            scu.accessExpansionCompaction(
-                gb.edges, indexes, counts, n, nullptr,
-                edgeFrontier, ef_n);
-            std::size_t wn = 0;
-            scu.replicationCompaction(contribBits, counts, n,
-                                      nullptr, weightFrontier,
-                                      wn);
-            panic_if(wn != ef_n, "PR frontier streams diverged");
-        });
-    }
+    // --- Expansion (Algorithm 3) --------------------------------
+    // Edge frontier plus replicated, pre-divided ranks; PR uses no
+    // filtering or grouping (Section 4.6).
+    const std::array<ExpandOutput, 2> outs{
+        ExpandOutput{&edgeFrontier, &gb.edges},
+        ExpandOutput{&weightFrontier, nullptr, &contribBits}};
+    const std::size_t ef_n =
+        ops.expand("pr_expand", indexes, counts, n, outs, {}, m);
     m.gpuEdgeWork += ef_n;
 
     // --- Rank update (Section 2.3.2): atomicAdd per edge ---------

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "alg/graph_buffers.hh"
-#include "alg/gpu_primitives.hh"
+#include "alg/operators.hh"
 #include "alg/options.hh"
 #include "graph/csr.hh"
 #include "graph/partition.hh"
@@ -80,7 +80,7 @@ class PageRankRunner
     const graph::Fragment *frag = nullptr;
     const graph::CsrGraph &g;
     GraphBuffers gb;
-    CompactionScratch scratch;
+    Operators ops;
 
     Elems rankBits;    ///< float ranks, bit-cast into u32 elements
     Elems newRankBits; ///< accumulation target of the rank update
@@ -90,8 +90,6 @@ class PageRankRunner
     Elems edgeFrontier;
     Elems weightFrontier;
     Elems inbox; ///< staging for remote injections (sharded only)
-
-    bool use_scu = false;
 };
 
 } // namespace scusim::alg

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "alg/graph_buffers.hh"
-#include "alg/gpu_primitives.hh"
+#include "alg/operators.hh"
 #include "alg/options.hh"
 #include "graph/csr.hh"
 #include "graph/partition.hh"
@@ -102,8 +102,7 @@ class SsspRunner
      * GPU far-pile revalidation: drop settled entries, split the
      * rest into the new node frontier and the next far pile.
      */
-    void splitFarPile(std::size_t far_n, std::uint32_t threshold,
-                      bool gpu_dedup);
+    void splitFarPile(std::size_t far_n, std::uint32_t threshold);
 
     harness::System &sys;
     DeviceId dev = 0;
@@ -111,7 +110,7 @@ class SsspRunner
     const graph::Fragment *frag = nullptr;
     const graph::CsrGraph &g;
     GraphBuffers gb;
-    CompactionScratch scratch;
+    Operators ops;
 
     Elems dist;
     Elems nodeFrontier;
@@ -135,8 +134,6 @@ class SsspRunner
     std::size_t far_n = 0;
     std::uint32_t delta = 0;
     std::uint32_t threshold = 0;
-    bool use_scu = false;
-    bool enhanced = false;
 };
 
 } // namespace scusim::alg
