@@ -152,8 +152,7 @@ class MappedGraph
 
 /**
  * Parse only the header of @p path (no mapping, no fingerprint
- * verification): the cheap identity probe clients use to compute a
- * run key before shipping the path to a daemon.
+ * verification): the cheap identity probe `scug info` uses.
  */
 bool readStoreHeader(const std::string &path, ScugHeader &h,
                      std::string *err = nullptr);

@@ -81,8 +81,7 @@ std::shared_ptr<MappedGraph> openGraphFile(const std::string &path,
 
 /**
  * Open an explicit `.scug` file with the configured budget,
- * quarantining and failing (null + warn) on damage. The daemon's
- * --dataset-file path.
+ * quarantining and failing (null + warn) on damage.
  */
 std::shared_ptr<MappedGraph> openStoreFile(const std::string &path);
 
