@@ -123,15 +123,16 @@ buildSmTickWarp(const std::string &prog, std::uint64_t i,
         gpu::WarpInstr wi;
         wi.kind = gpu::ThreadOp::Kind::Load;
         wi.laneMask = maskLow(32);
-        wi.laneAddrs.resize(32);
+        wi.addrBase = static_cast<std::uint32_t>(out.addrs.size());
+        out.addrs.resize(out.addrs.size() + 32);
         for (unsigned l = 0; l < 32; ++l) {
-            wi.laneAddrs[l] =
+            out.addrs[wi.addrBase + l] =
                 coalesced
                     ? Addr{0x100000} + (i * 8 + op) * 128 + l * 4
                     : (mixBits(i * 997 + op * 131 + l) & 0x3FFFFF) *
                           64;
         }
-        out.instrs.push_back(std::move(wi));
+        out.instrs.push_back(wi);
     };
 
     if (prog == "allbusy-compute") {

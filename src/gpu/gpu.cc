@@ -1,7 +1,9 @@
 #include "gpu/gpu.hh"
 
 #include <algorithm>
+#include <array>
 
+#include "common/bits.hh"
 #include "common/logging.hh"
 #include "trace/trace.hh"
 
@@ -12,6 +14,8 @@ Gpu::Gpu(const GpuParams &params, mem::MemSystem &mem,
          sim::Simulation &simulation, stats::StatGroup *parent)
     : p(params), sim(simulation), grp("gpu", parent)
 {
+    panic_if(p.warpSize == 0 || p.warpSize > 64,
+             "warpSize %u outside the 64-bit lane mask", p.warpSize);
     for (unsigned i = 0; i < p.numSms; ++i) {
         sms.push_back(std::make_unique<StreamingMultiprocessor>(
             p, i, &mem, &grp, &sim));
@@ -30,65 +34,70 @@ Gpu::attachTrace(trace::TraceSink &sink, const std::string &prefix)
 }
 
 void
-Gpu::buildWarp(const KernelLaunch &k, std::uint64_t warp_id, Warp &out)
+Gpu::buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
+               unsigned warp_size, Warp &out)
 {
-    const std::uint64_t first = warp_id * p.warpSize;
+    const std::uint64_t first = warp_id * warp_size;
     const std::uint64_t last =
-        std::min<std::uint64_t>(first + p.warpSize, k.numThreads);
+        std::min<std::uint64_t>(first + warp_size, k.numThreads);
+    const unsigned threads = static_cast<unsigned>(last - first);
+    out.threads = threads;
 
-    // Record each thread's operation list.
+    // Record every lane back to back into one recorder: lane i's ops
+    // are ops[pos[i], end[i]), and bit i of `live` is set while lane
+    // i has ops left.
     thread_local ThreadRecorder rec;
-    std::vector<std::vector<ThreadOp>> lanes;
-    lanes.reserve(last - first);
-    for (std::uint64_t tid = first; tid < last; ++tid) {
-        rec.clear();
-        k.body(tid, rec);
-        lanes.push_back(rec.recorded());
+    rec.clear();
+    std::array<std::uint32_t, 64> pos{};
+    std::array<std::uint32_t, 64> end{};
+    std::uint64_t live = 0;
+    for (unsigned i = 0; i < threads; ++i) {
+        pos[i] = static_cast<std::uint32_t>(rec.size());
+        k.body(first + i, rec);
+        end[i] = static_cast<std::uint32_t>(rec.size());
+        if (end[i] != pos[i])
+            live |= std::uint64_t{1} << i;
     }
-    out.threads = static_cast<unsigned>(lanes.size());
+    const ThreadOp *ops = rec.recorded().data();
 
-    // Positional SIMT merge: at each step, the kind of the first
-    // unfinished lane's current op executes; lanes whose current op
-    // differs (divergent paths) wait and execute in a later slot.
-    std::vector<std::size_t> pos(lanes.size(), 0);
-    while (true) {
-        int leader = -1;
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (pos[i] < lanes[i].size()) {
-                leader = static_cast<int>(i);
-                break;
-            }
-        }
-        if (leader < 0)
-            break;
-        const ThreadOp::Kind kind =
-            lanes[static_cast<std::size_t>(leader)]
-                 [pos[static_cast<std::size_t>(leader)]].kind;
+    // Positional SIMT merge, led by the lowest live lane. The lane
+    // loop accumulates into locals: written through `wi`, every field
+    // update would be reloaded after each address-slot store.
+    while (live) {
+        const ThreadOp::Kind kind = ops[pos[ctz64(live)]].kind;
         WarpInstr wi;
         wi.kind = kind;
-        if (kind != ThreadOp::Kind::Compute)
-            wi.laneAddrs.resize(lanes.size(), 0);
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            if (pos[i] >= lanes[i].size())
-                continue;
-            const ThreadOp &op = lanes[i][pos[i]];
+        Addr *slots = nullptr;
+        if (kind != ThreadOp::Kind::Compute) {
+            // Slot-per-lane handoff: lane i's address lives in slot
+            // addrBase + i, the mask says which slots participate.
+            wi.addrBase = static_cast<std::uint32_t>(out.addrs.size());
+            out.addrs.resize(out.addrs.size() + threads, 0);
+            slots = out.addrs.data() + wi.addrBase;
+        }
+        std::uint32_t count = 0;
+        std::uint64_t mask = 0;
+        for (std::uint64_t m = live; m; m &= m - 1) {
+            const unsigned i = ctz64(m);
+            const ThreadOp &op = ops[pos[i]];
             if (op.kind != kind)
                 continue;
-            if (kind == ThreadOp::Kind::Compute) {
-                wi.computeCount =
-                    std::max(wi.computeCount, op.count);
-            } else {
-                // Slot-per-lane handoff: lane i's address lives in
-                // slot i, the mask says which slots participate.
-                wi.laneAddrs[i] = op.addr;
-                wi.laneMask |= std::uint64_t{1} << i;
-                wi.bytesPerLane = std::max(wi.bytesPerLane, op.count);
-            }
-            ++pos[i];
+            count = std::max(count, op.count);
+            if (slots)
+                slots[i] = op.addr;
+            mask |= std::uint64_t{1} << i;
+            if (++pos[i] == end[i])
+                live &= ~(std::uint64_t{1} << i);
         }
-        if (kind == ThreadOp::Kind::Compute && wi.computeCount == 0)
-            wi.computeCount = 1;
-        out.instrs.push_back(std::move(wi));
+        // A compute step issues at least once; a memory step moves at
+        // least the default 4 bytes per lane.
+        if (kind == ThreadOp::Kind::Compute) {
+            wi.computeCount = std::max(count, 1u);
+        } else {
+            wi.laneMask = mask;
+            wi.bytesPerLane = std::max(wi.bytesPerLane, count);
+        }
+        out.instrs.push_back(wi);
     }
 }
 
@@ -108,15 +117,16 @@ Gpu::launch(const KernelLaunch &k)
             (k.numThreads + p.warpSize - 1) / p.warpSize;
 
         // Warp w runs on SM (w % numSms); each SM pulls its next warp
-        // lazily when a slot frees up.
+        // lazily when a slot frees up. Each SM's WarpSource owns its
+        // copy of the lambda, so the cursor is a by-value capture.
         for (unsigned s = 0; s < p.numSms; ++s) {
-            auto next = std::make_shared<std::uint64_t>(s);
             sms[s]->beginKernel(
-                [this, &k, next, num_warps](Warp &out) {
-                    if (*next >= num_warps)
+                [this, &k, next = std::uint64_t{s},
+                 num_warps](Warp &out) mutable {
+                    if (next >= num_warps)
                         return false;
-                    buildWarp(k, *next, out);
-                    *next += p.numSms;
+                    buildWarp(k, next, p.warpSize, out);
+                    next += p.numSms;
                     return true;
                 },
                 &ks);

@@ -77,11 +77,19 @@ class Gpu
     void attachTrace(trace::TraceSink &sink,
                      const std::string &prefix = "");
 
-  private:
-    /** Merge one warp's thread op lists into a SIMT stream. */
-    void buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
-                   Warp &out);
+    /**
+     * Merge the thread op lists of warp @p warp_id (threads
+     * [warp_id * warp_size, ...) of @p k) into a SIMT stream appended
+     * to @p out: at each step the kind of the lowest unfinished lane's
+     * current op executes, and lanes whose current op differs
+     * (divergent paths) wait for a later step. Each memory
+     * instruction appends warp-width address slots to out.addrs.
+     * @p warp_size is at most 64, the lane-mask width.
+     */
+    static void buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
+                          unsigned warp_size, Warp &out);
 
+  private:
     const GpuParams p;
     sim::Simulation &sim;
     stats::StatGroup grp;

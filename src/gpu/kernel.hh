@@ -76,6 +76,7 @@ class ThreadRecorder
     }
 
     const std::vector<ThreadOp> &recorded() const { return ops; }
+    std::size_t size() const { return ops.size(); }
     void clear() { ops.clear(); }
 
   private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <string>
 
 #include "common/logging.hh"
@@ -59,18 +60,23 @@ StreamingMultiprocessor::StreamingMultiprocessor(
     panic_if(p.maxResidentWarps() > kMaxWarpSlots,
              "maxResidentWarps %u exceeds the %u-slot ready mask",
              p.maxResidentWarps(), kMaxWarpSlots);
-    body.reserve(p.maxResidentWarps());
+    // Every pool body starts spare; index 0 is handed out first.
+    bodies.resize(p.maxResidentWarps());
+    for (unsigned i = p.maxResidentWarps(); i-- > 0;)
+        spare.push_back(static_cast<std::uint8_t>(i));
+    wBody.reserve(p.maxResidentWarps());
     wBlocked.reserve(p.maxResidentWarps());
     wPc.reserve(p.maxResidentWarps());
     wComputeLeft.reserve(p.maxResidentWarps());
     wNumInstrs.reserve(p.maxResidentWarps());
+    wake.reserve(p.maxResidentWarps());
 }
 
 void
 StreamingMultiprocessor::beginKernel(WarpSource source,
                                      KernelStats *sink)
 {
-    panic_if(!body.empty(), "beginKernel on a busy SM");
+    panic_if(!wBody.empty(), "beginKernel on a busy SM");
     warpSource = std::move(source);
     kstats = sink;
     sourceDry = false;
@@ -97,24 +103,37 @@ StreamingMultiprocessor::endKernel(Tick now)
 void
 StreamingMultiprocessor::refill()
 {
-    while (!sourceDry && body.size() < p.maxResidentWarps()) {
+    while (!sourceDry && wBody.size() < p.maxResidentWarps()) {
+        // A free slot means a spare body: hand the source its buffers,
+        // cleared, and take them back filled.
+        const std::uint8_t idx = spare.back();
+        WarpBody &b = bodies[idx];
         Warp w;
-        if (!warpSource || !warpSource(w)) {
+        w.instrs = std::move(b.instrs);
+        w.addrs = std::move(b.addrs);
+        w.instrs.clear();
+        w.addrs.clear();
+        const bool got = warpSource && warpSource(w);
+        b.instrs = std::move(w.instrs);
+        b.addrs = std::move(w.addrs);
+        if (!got) {
             sourceDry = true;
             break;
         }
+        spare.pop_back();
+        b.threads = w.threads;
         if (kstats) {
             ++kstats->warps;
             kstats->threads += w.threads;
         }
-        const std::size_t s = body.size();
+        const std::size_t s = wBody.size();
         const std::uint64_t bit = std::uint64_t{1} << s;
-        body.push_back({std::move(w.instrs), w.threads});
+        wBody.push_back(idx);
         wBlocked.push_back(w.blockedUntil);
         wPc.push_back(static_cast<std::uint32_t>(w.pc));
         wComputeLeft.push_back(w.computeLeft);
         wNumInstrs.push_back(
-            static_cast<std::uint32_t>(body.back().instrs.size()));
+            static_cast<std::uint32_t>(b.instrs.size()));
         if (wPc[s] >= wNumInstrs[s])
             doneMask |= bit;
         // A slot arriving blocked in the past is promoted by the
@@ -122,36 +141,44 @@ StreamingMultiprocessor::refill()
         if (wBlocked[s] == 0)
             readyMask |= bit;
         else
-            blockedMin = std::min(blockedMin, wBlocked[s]);
+            addWake(s, wBlocked[s]);
     }
     recomputeWake();
 }
 
 void
+StreamingMultiprocessor::addWake(std::size_t s, Tick at)
+{
+    // Descending order, so walk up from the earliest wake: most
+    // blocks are a dependent-issue stall, which lands a few buckets
+    // above the back. (A branch-free binary search measured slower.)
+    std::size_t i = wake.size();
+    while (i > 0 && wake[i - 1].at < at)
+        --i;
+    const std::uint64_t bit = std::uint64_t{1} << s;
+    if (i > 0 && wake[i - 1].at == at)
+        wake[i - 1].slots |= bit;
+    else
+        wake.insert(wake.begin() + static_cast<std::ptrdiff_t>(i),
+                    {at, bit});
+}
+
+void
 StreamingMultiprocessor::advanceReady(Tick now)
 {
-    if (blockedMin > now)
-        return;
-    const std::uint64_t blocked =
-        maskLow(static_cast<unsigned>(body.size())) & ~readyMask;
-    Tick rest = tickNever;
-    for (std::uint64_t m = blocked; m; m &= m - 1) {
-        const std::size_t s = ctz64(m);
-        if (wBlocked[s] <= now)
-            readyMask |= std::uint64_t{1} << s;
-        else
-            rest = std::min(rest, wBlocked[s]);
+    while (!wake.empty() && wake.back().at <= now) {
+        readyMask |= wake.back().slots;
+        wake.pop_back();
     }
-    blockedMin = rest;
 }
 
 void
 StreamingMultiprocessor::recomputeWake()
 {
-    // blockedMin already covers the blocked slots exactly; folding in
+    // The back bucket covers the blocked slots exactly; folding in
     // the ready slots' (stale-low) blockedUntil reproduces the full
     // min without touching the non-resident tail.
-    Tick t = blockedMin;
+    Tick t = blockedMin();
     for (std::uint64_t m = readyMask; m; m &= m - 1)
         t = std::min(t, wBlocked[ctz64(m)]);
     wakeCache = t;
@@ -161,9 +188,33 @@ StreamingMultiprocessor::recomputeWake()
             lin = std::min(lin, b);
         sim_check(wakeCache == lin,
                   "mask-folded wake %llu disagrees with linear scan "
-                  "%llu (blockedMin invariant broken)",
+                  "%llu (wake-bucket invariant broken)",
                   static_cast<unsigned long long>(wakeCache),
                   static_cast<unsigned long long>(lin));
+        std::uint64_t bucketed = 0;
+        for (std::size_t i = 0; i < wake.size(); ++i) {
+            sim_check(i == 0 || wake[i - 1].at > wake[i].at,
+                      "wake bucket %zu (tick %llu) out of order", i,
+                      static_cast<unsigned long long>(wake[i].at));
+            sim_check((bucketed & wake[i].slots) == 0,
+                      "a slot sits in two wake buckets");
+            bucketed |= wake[i].slots;
+            for (std::uint64_t m = wake[i].slots; m; m &= m - 1) {
+                const std::size_t s = ctz64(m);
+                sim_check(wBlocked[s] == wake[i].at,
+                          "slot %zu blocked until %llu sits in the "
+                          "wake bucket for %llu",
+                          s,
+                          static_cast<unsigned long long>(wBlocked[s]),
+                          static_cast<unsigned long long>(wake[i].at));
+            }
+        }
+        const std::uint64_t blocked =
+            maskLow(static_cast<unsigned>(wBody.size())) & ~readyMask;
+        sim_check(bucketed == blocked,
+                  "wake buckets hold %llx but the blocked set is %llx",
+                  static_cast<unsigned long long>(bucketed),
+                  static_cast<unsigned long long>(blocked));
     }
 }
 
@@ -173,7 +224,7 @@ StreamingMultiprocessor::busy(Tick now) const
     // Busy if a warp can issue or retire this cycle; warps that are
     // merely blocked on memory make the SM wake-able, not busy, so
     // the simulation fast-forwards over pure stall intervals.
-    if (body.empty())
+    if (wBody.empty())
         return !sourceDry && warpSource != nullptr;
     return wakeCache <= now;
 }
@@ -181,11 +232,13 @@ StreamingMultiprocessor::busy(Tick now) const
 Tick
 StreamingMultiprocessor::nextWakeTick() const
 {
-    return body.empty() ? tickNever : wakeCache;
+    return wBody.empty() ? tickNever : wakeCache;
 }
 
 Tick
-StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
+StreamingMultiprocessor::executeMem(const WarpInstr &wi,
+                                    std::span<const Addr> lanes,
+                                    Tick now)
 {
     // Coalesce the active lanes into line transactions. Atomics
     // cannot merge lanes: each distinct address is its own
@@ -193,11 +246,10 @@ StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
     txnScratch.clear();
     std::size_t txns;
     if (wi.kind == ThreadOp::Kind::Atomic) {
-        txns = mem::appendUniqueAddrs(wi.laneAddrs, wi.laneMask,
-                                      txnScratch);
+        txns = mem::appendUniqueAddrs(lanes, wi.laneMask, txnScratch);
     } else {
-        txns = mem::coalesceLanes(wi.laneAddrs, wi.laneMask,
-                                  p.l1.lineBytes, txnScratch);
+        txns = mem::coalesceLanes(lanes, wi.laneMask, p.l1.lineBytes,
+                                  txnScratch);
     }
 
     if (kstats) {
@@ -259,7 +311,7 @@ StreamingMultiprocessor::executeMem(const WarpInstr &wi, Tick now)
 void
 StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
 {
-    WarpBody &b = body[s];
+    WarpBody &b = bodies[wBody[s]];
     WarpInstr &wi = b.instrs[wPc[s]];
     ++issuedInstrs;
     if (kstats) {
@@ -280,7 +332,15 @@ StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
         // latency before its next instruction.
         blocked_until = now + p.depIssueLatency;
     } else {
-        const Tick complete = executeMem(wi, now);
+        sim_check(wi.addrBase + b.threads <= b.addrs.size(),
+                  "slot %zu: mem instr lanes [%u, %u) overrun the "
+                  "%zu-entry address pool",
+                  s, wi.addrBase, wi.addrBase + b.threads,
+                  b.addrs.size());
+        const Tick complete = executeMem(
+            wi, std::span<const Addr>(b.addrs).subspan(wi.addrBase,
+                                                       b.threads),
+            now);
         if (++wPc[s] >= wNumInstrs[s])
             doneMask |= std::uint64_t{1} << s;
         blocked_until = wi.kind == ThreadOp::Kind::Load
@@ -290,40 +350,51 @@ StreamingMultiprocessor::issueSlot(std::size_t s, Tick now)
     wBlocked[s] = blocked_until;
     if (blocked_until > now) {
         readyMask &= ~(std::uint64_t{1} << s);
-        blockedMin = std::min(blockedMin, blocked_until);
+        addWake(s, blocked_until);
     }
 }
 
 void
 StreamingMultiprocessor::compactRetired(std::uint64_t retire)
 {
-    const std::size_t n = body.size();
-    std::uint64_t new_ready = 0;
-    std::uint64_t new_done = 0;
+    for (std::uint64_t m = retire; m; m &= m - 1)
+        spare.push_back(wBody[ctz64(m)]);
+    const std::size_t n = wBody.size();
     std::size_t k = 0;
     for (std::size_t j = 0; j < n; ++j) {
         if ((retire >> j) & 1)
             continue;
         if (k != j) {
-            body[k] = std::move(body[j]);
+            wBody[k] = wBody[j];
             wBlocked[k] = wBlocked[j];
             wPc[k] = wPc[j];
             wComputeLeft[k] = wComputeLeft[j];
             wNumInstrs[k] = wNumInstrs[j];
         }
-        new_ready |= ((readyMask >> j) & 1) << k;
-        new_done |= ((doneMask >> j) & 1) << k;
         ++k;
     }
-    body.resize(k);
+    wBody.resize(k);
     wBlocked.resize(k);
     wPc.resize(k);
     wComputeLeft.resize(k);
     wNumInstrs.resize(k);
-    readyMask = new_ready;
-    doneMask = new_done;
-    // Retired slots were all ready, so the blocked set — and
-    // blockedMin — are unchanged.
+    // Squeeze each retired bit out of every mask, highest first so
+    // the lower positions stay put: bits above r move down one. No
+    // bucket holds a retired (hence ready) slot, so buckets keep
+    // their ticks and order.
+    for (std::uint64_t m = retire; m;) {
+        const unsigned r = 63 - static_cast<unsigned>(
+                                    std::countl_zero(m));
+        m &= ~(std::uint64_t{1} << r);
+        const std::uint64_t low = maskLow(r);
+        auto squeeze = [low](std::uint64_t v) {
+            return (v & low) | ((v >> 1) & ~low);
+        };
+        readyMask = squeeze(readyMask);
+        doneMask = squeeze(doneMask);
+        for (WakeBucket &b : wake)
+            b.slots = squeeze(b.slots);
+    }
 }
 
 void
@@ -340,7 +411,7 @@ StreamingMultiprocessor::tickSoa(Tick now)
     // wholly-blocked mask makes both loops vanish without touching
     // the warp arrays.
     unsigned issued = 0;
-    const std::size_t n = body.size();
+    const std::size_t n = wBody.size();
     const std::size_t start = rrCursor % n;
     const std::uint64_t cand = readyMask & ~doneMask;
     for (std::uint64_t m =
@@ -369,9 +440,9 @@ StreamingMultiprocessor::tickSoa(Tick now)
     const std::size_t retired = popcount64(retire);
     if (retire)
         compactRetired(retire);
-    const std::size_t low = body.size();
+    const std::size_t low = wBody.size();
     refill();
-    const std::size_t added = body.size() - low;
+    const std::size_t added = wBody.size() - low;
     if (retired + added)
         noteProgress(retired + added);
 }
@@ -390,7 +461,7 @@ StreamingMultiprocessor::tickReference(Tick now)
     // list since last cycle); the walk itself wraps with a compare
     // instead of a per-iteration `(rrCursor + i) % n` divide.
     unsigned issued = 0;
-    const std::size_t n = body.size();
+    const std::size_t n = wBody.size();
     const std::size_t start = rrCursor % n;
     std::size_t idx = start;
     for (std::size_t i = 0; i < n && issued < p.issueWidth; ++i) {
@@ -417,9 +488,9 @@ StreamingMultiprocessor::tickReference(Tick now)
     const std::size_t retired = popcount64(retire);
     if (retire)
         compactRetired(retire);
-    const std::size_t low = body.size();
+    const std::size_t low = wBody.size();
     refill();
-    const std::size_t added = body.size() - low;
+    const std::size_t added = wBody.size() - low;
     if (retired + added)
         noteProgress(retired + added);
 }
@@ -435,11 +506,11 @@ StreamingMultiprocessor::tick(Tick now)
             inj && inj->smStalled(smId, now))
             return;
     }
-    if (body.empty()) {
+    if (wBody.empty()) {
         refill();
-        if (body.empty())
+        if (wBody.empty())
             return;
-        noteProgress(body.size());
+        noteProgress(wBody.size());
     }
     if (path == SmIssuePath::Reference)
         tickReference(now);

@@ -9,8 +9,11 @@
  * reads — blockedUntil, pc, computeLeft, instruction count — in
  * parallel packed arrays (SoA) beside 64-bit ready/done masks, so a
  * serviced cycle walks a handful of cache lines instead of a vector
- * of fat Warp structs. A reference scan path (`SmIssuePath`) keeps
- * the straightforward linear loop alive as an equivalence oracle.
+ * of fat Warp structs. Blocked slots wait in tick-ordered wake
+ * buckets, so waking them costs one compare per cycle, and retired
+ * warps' buffers are recycled into the next warp. A reference scan
+ * path (`SmIssuePath`) keeps the straightforward linear loop alive as
+ * an equivalence oracle.
  */
 
 #ifndef SCUSIM_GPU_SM_HH
@@ -20,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "gpu/gpu_config.hh"
@@ -48,26 +52,31 @@ struct WarpInstr
     ThreadOp::Kind kind = ThreadOp::Kind::Compute;
     std::uint32_t computeCount = 0;  ///< Compute: instructions
     std::uint32_t bytesPerLane = 4;  ///< mem ops
+    /**
+     * Mem ops: offset of this instruction's address slots in the
+     * owning warp's `Warp::addrs` pool. Lane i's address is
+     * addrs[addrBase + i] for i < Warp::threads; slots whose laneMask
+     * bit is clear are don't-care. Compute ops leave it unused. The
+     * coalescer consumes the (span, laneMask) pair directly.
+     */
+    std::uint32_t addrBase = 0;
     /** Active lanes of a mem op: bit i set means lane i participates. */
     std::uint64_t laneMask = 0;
-    /**
-     * Mem ops: one address slot per warp lane (laneAddrs[i] is lane
-     * i's address; slots whose laneMask bit is clear are don't-care).
-     * Compute ops leave this empty. The coalescer consumes the
-     * (span, laneMask) pair directly.
-     */
-    std::vector<Addr> laneAddrs;
 };
 
 /**
- * A warp as handed over by the dispatcher: merged instruction stream
- * plus initial pipeline state. The SM unpacks it into its SoA arrays
- * on refill; this struct is the handoff/test-construction type, not
- * the resident representation.
+ * A warp as handed over by the dispatcher: merged instruction stream,
+ * the address pool its memory instructions index, and initial
+ * pipeline state. The SM unpacks it into its SoA arrays on refill;
+ * this struct is the handoff/test-construction type, not the resident
+ * representation. The SM hands the source a Warp whose vectors are
+ * empty but may carry capacity recycled from a retired warp, so a
+ * source appends to them rather than replacing them.
  */
 struct Warp
 {
     std::vector<WarpInstr> instrs;
+    std::vector<Addr> addrs; ///< lane-address pool (see addrBase)
     std::size_t pc = 0;
     std::uint32_t computeLeft = 0; ///< remaining issues of current op
     Tick blockedUntil = 0;
@@ -142,41 +151,71 @@ class StreamingMultiprocessor : public sim::Clocked
     static void clearDefaultIssuePathOverride();
 
   private:
-    /** Cold per-warp state the issue scan never touches. */
+    /**
+     * Cold per-warp state the issue scan never touches. A body stays
+     * in the `bodies` pool for the SM's lifetime; when its warp
+     * retires, its buffers wait, index on `spare`, until refill hands
+     * them, cleared, to the next warp.
+     */
     struct WarpBody
     {
         std::vector<WarpInstr> instrs;
+        std::vector<Addr> addrs;
         unsigned threads = 0;
     };
 
+    /** The blocked slots that wake at tick @p at. */
+    struct WakeBucket
+    {
+        Tick at = 0;
+        std::uint64_t slots = 0;
+    };
+
     /**
-     * Promote blocked slots whose blockedUntil has arrived into
-     * readyMask and re-derive blockedMin over the rest. No-op (one
-     * compare) while blockedMin is still in the future — the
-     * wholly-blocked rejection that keeps stall-adjacent ticks off
-     * the warp arrays entirely.
+     * Move the slots of every wake bucket due at or before @p now into
+     * readyMask. One compare while the earliest bucket is still in
+     * the future — the wholly-blocked rejection that keeps
+     * stall-adjacent ticks off the warp arrays entirely.
      */
     void advanceReady(Tick now);
 
+    /** Record that blocked slot @p s wakes at tick @p at. */
+    void addWake(std::size_t s, Tick at);
+
+    /** Earliest wake over the blocked slots (tickNever when none). */
+    Tick
+    blockedMin() const
+    {
+        return wake.empty() ? tickNever : wake.back().at;
+    }
+
     /**
      * Issue slot @p s's current instruction. The caller guarantees
-     * the slot is ready and not done; mask/blockedMin bookkeeping for
+     * the slot is ready and not done; mask/wake-bucket bookkeeping for
      * the slot's new blockedUntil happens here.
      */
     void issueSlot(std::size_t s, Tick now);
 
-    /** Execute a memory warp instruction; returns block-until tick. */
-    Tick executeMem(const WarpInstr &wi, Tick now);
+    /**
+     * Execute a memory warp instruction whose lane addresses are
+     * @p lanes; returns block-until tick.
+     */
+    Tick executeMem(const WarpInstr &wi, std::span<const Addr> lanes,
+                    Tick now);
 
     /**
      * Remove the slots of @p retire, preserving the relative order of
      * the survivors (an order-preserving two-pointer compaction — a
      * swap-with-back would permute round-robin issue order and break
-     * the byte-identical-stats mandate; see DESIGN).
+     * the byte-identical-stats mandate; see DESIGN). The retired
+     * slots' bodies go back on `spare`.
      */
     void compactRetired(std::uint64_t retire);
 
-    /** Pull new warps from the source while slots are free. */
+    /**
+     * Pull new warps from the source while slots are free, building
+     * each into a spare body's buffers.
+     */
     void refill();
 
     /** The mask issue scan (default path). */
@@ -199,26 +238,37 @@ class StreamingMultiprocessor : public sim::Clocked
     KernelStats *kstats = nullptr;
 
     /**
-     * Resident warps in SoA layout, index = slot. `body` holds the
-     * cold halves (instruction vectors, thread counts); the packed
-     * arrays below are everything the per-cycle scan reads, so the
-     * scan streams over ~n*16 bytes instead of n fat structs.
-     * Invariants (outside tick()):
+     * Resident warps in SoA layout, index = slot. `wBody[s]` names
+     * the slot's cold half (instruction and address buffers, thread
+     * count) in `bodies`; the packed arrays below are everything the
+     * per-cycle scan reads, so the scan streams over ~n*16 bytes
+     * instead of n fat structs. Invariants (outside tick()):
      *  - readyMask bit s set  ⇔ wBlocked[s] <= some past now (ticks
      *    are monotone, so ready slots never revert on their own);
      *  - doneMask bit s set   ⇔ wPc[s] >= wNumInstrs[s];
-     *  - blockedMin == exact min wBlocked[] over slots NOT in
-     *    readyMask (tickNever when none);
-     *  - masks never carry bits >= body.size().
+     *  - `wake` is sorted by strictly decreasing tick, so the
+     *    earliest wake is at the back; its masks are disjoint, their
+     *    union is exactly the slots NOT in readyMask, and each slot
+     *    sits in the bucket whose tick is its wBlocked;
+     *  - masks never carry bits >= wBody.size();
+     *  - `wBody` and `spare` together hold each index of `bodies`
+     *    exactly once.
      */
-    std::vector<WarpBody> body;
+    std::vector<std::uint8_t> wBody;
     std::vector<Tick> wBlocked;
     std::vector<std::uint32_t> wPc;
     std::vector<std::uint32_t> wComputeLeft;
     std::vector<std::uint32_t> wNumInstrs;
     std::uint64_t readyMask = 0;
     std::uint64_t doneMask = 0;
-    Tick blockedMin = tickNever;
+    std::vector<WakeBucket> wake;
+    /**
+     * maxResidentWarps() bodies, allocated once. Their buffers keep
+     * their capacity across warps and kernels, so a steady-state
+     * kernel allocates nothing.
+     */
+    std::vector<WarpBody> bodies;
+    std::vector<std::uint8_t> spare; ///< free `bodies` indices (LIFO)
 
     std::size_t rrCursor = 0;
     bool sourceDry = true;

@@ -1,12 +1,17 @@
 /**
  * @file
- * Unit tests for the GPU timing model: SIMT warp merging, coalescing
- * accounting, phase attribution, launch mechanics and the effect of
- * divergence on execution time.
+ * Unit tests for the GPU timing model: SIMT warp merging (checked
+ * against a reference positional merge), coalescing accounting,
+ * phase attribution, launch mechanics and the effect of divergence
+ * on execution time.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/bits.hh"
 #include "gpu/gpu.hh"
 #include "gpu/gpu_config.hh"
 #include "mem/mem_system.hh"
@@ -202,4 +207,165 @@ TEST(GpuModel, LaunchOverheadMatchesConfig)
                                 rec.compute(1);
                             }));
     EXPECT_GE(r.sim.now() - before, r.params.launchLatency);
+}
+
+namespace
+{
+
+/**
+ * Thread @p tid's random op list: zero to six ops of mixed kinds, so
+ * lanes diverge in kind and length; some threads record nothing and
+ * some compute(0) calls record nothing either.
+ */
+void
+recordRandomThread(std::uint64_t seed, std::uint64_t tid,
+                   ThreadRecorder &rec)
+{
+    std::uint64_t h = mixBits(seed * 0x9E3779B97F4A7C15ull + tid + 1);
+    auto draw = [&h](std::uint64_t n) {
+        h = mixBits(h + 0x632BE59BD9B4E019ull);
+        return h % n;
+    };
+    const std::uint64_t n_ops = draw(4) == 0 ? 0 : draw(7);
+    static constexpr std::uint32_t kBytes[] = {1, 2, 4, 8};
+    for (std::uint64_t i = 0; i < n_ops; ++i) {
+        const Addr a = Addr{0x10000} + draw(1 << 16) * 4;
+        const std::uint32_t bytes = kBytes[draw(4)];
+        switch (draw(4)) {
+        case 0:
+            rec.compute(static_cast<std::uint32_t>(draw(4)));
+            break;
+        case 1:
+            rec.load(a, bytes);
+            break;
+        case 2:
+            rec.store(a, bytes);
+            break;
+        default:
+            rec.atomic(a, bytes);
+            break;
+        }
+    }
+}
+
+/** A warp instruction as the reference merge builds it. */
+struct RefInstr
+{
+    ThreadOp::Kind kind = ThreadOp::Kind::Compute;
+    std::uint32_t computeCount = 0;
+    std::uint32_t bytesPerLane = 4;
+    std::uint64_t laneMask = 0;
+    std::vector<Addr> laneAddrs; ///< one slot per lane (mem ops)
+};
+
+/**
+ * The positional SIMT merge over one vector per lane: at each step
+ * the kind of the first unfinished lane's current op executes, and
+ * every lane whose current op has that kind takes part and advances.
+ */
+std::vector<RefInstr>
+referenceMerge(const KernelLaunch &k, std::uint64_t warp_id,
+               unsigned warp_size)
+{
+    const std::uint64_t first = warp_id * warp_size;
+    const std::uint64_t last =
+        std::min<std::uint64_t>(first + warp_size, k.numThreads);
+    std::vector<std::vector<ThreadOp>> lanes;
+    for (std::uint64_t tid = first; tid < last; ++tid) {
+        ThreadRecorder rec;
+        k.body(tid, rec);
+        lanes.push_back(rec.recorded());
+    }
+    std::vector<std::size_t> pos(lanes.size(), 0);
+    std::vector<RefInstr> out;
+    while (true) {
+        std::size_t leader = lanes.size();
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            if (pos[i] < lanes[i].size()) {
+                leader = i;
+                break;
+            }
+        }
+        if (leader == lanes.size())
+            break;
+        RefInstr ri;
+        ri.kind = lanes[leader][pos[leader]].kind;
+        if (ri.kind != ThreadOp::Kind::Compute)
+            ri.laneAddrs.assign(lanes.size(), 0);
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            if (pos[i] >= lanes[i].size() ||
+                lanes[i][pos[i]].kind != ri.kind)
+                continue;
+            const ThreadOp &op = lanes[i][pos[i]];
+            if (ri.kind == ThreadOp::Kind::Compute) {
+                ri.computeCount = std::max(ri.computeCount, op.count);
+            } else {
+                ri.laneAddrs[i] = op.addr;
+                ri.laneMask |= std::uint64_t{1} << i;
+                ri.bytesPerLane = std::max(ri.bytesPerLane, op.count);
+            }
+            ++pos[i];
+        }
+        if (ri.kind == ThreadOp::Kind::Compute && ri.computeCount == 0)
+            ri.computeCount = 1;
+        out.push_back(std::move(ri));
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(WarpMerge, MatchesReferencePositionalMerge)
+{
+    for (const unsigned warp_size : {7u, 32u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            KernelLaunch k;
+            // Five full warps plus a partial last one.
+            k.numThreads = 5 * warp_size + warp_size / 2 + 1;
+            k.body = [seed](std::uint64_t tid, ThreadRecorder &rec) {
+                recordRandomThread(seed, tid, rec);
+            };
+            const std::uint64_t warps =
+                (k.numThreads + warp_size - 1) / warp_size;
+            // One Warp reused across builds, cleared the way the SM
+            // recycles a retired warp's buffers.
+            Warp w;
+            for (std::uint64_t id = 0; id < warps; ++id) {
+                SCOPED_TRACE(testing::Message()
+                             << "warp_size " << warp_size << " seed "
+                             << seed << " warp " << id);
+                w.instrs.clear();
+                w.addrs.clear();
+                Gpu::buildWarp(k, id, warp_size, w);
+                const std::vector<RefInstr> ref =
+                    referenceMerge(k, id, warp_size);
+                const unsigned threads = static_cast<unsigned>(
+                    std::min<std::uint64_t>(
+                        warp_size, k.numThreads - id * warp_size));
+                ASSERT_EQ(w.threads, threads);
+                ASSERT_EQ(w.instrs.size(), ref.size());
+                for (std::size_t j = 0; j < ref.size(); ++j) {
+                    const WarpInstr &wi = w.instrs[j];
+                    const RefInstr &ri = ref[j];
+                    ASSERT_EQ(wi.kind, ri.kind) << "instr " << j;
+                    if (ri.kind == ThreadOp::Kind::Compute) {
+                        EXPECT_EQ(wi.computeCount, ri.computeCount)
+                            << "instr " << j;
+                        continue;
+                    }
+                    EXPECT_EQ(wi.laneMask, ri.laneMask) << "instr " << j;
+                    EXPECT_EQ(wi.bytesPerLane, ri.bytesPerLane)
+                        << "instr " << j;
+                    ASSERT_LE(wi.addrBase + threads, w.addrs.size())
+                        << "instr " << j;
+                    for (std::uint64_t m = ri.laneMask; m; m &= m - 1) {
+                        const unsigned l = ctz64(m);
+                        EXPECT_EQ(w.addrs[wi.addrBase + l],
+                                  ri.laneAddrs[l])
+                            << "instr " << j << " lane " << l;
+                    }
+                }
+            }
+        }
+    }
 }

@@ -9,7 +9,9 @@
  *    divergent loads, stores, atomics, divergent-length compute,
  *    more warps than resident slots) and must agree on busy(),
  *    nextWakeTick() and active-cycle count at EVERY serviced tick,
- *    then on the full stats dump at the end;
+ *    then on the full stats dump at the end. One program parks many
+ *    warps on far-apart wake ticks while others retire; another runs
+ *    a second kernel on recycled warp buffers against a fresh SM;
  *  - full-run: complete primitive runs under both paths produce
  *    byte-identical stats dumps for every primitive on both systems.
  */
@@ -165,12 +167,13 @@ buildTestWarp(std::uint64_t i, gpu::Warp &out)
         gpu::WarpInstr wi;
         wi.kind = kind;
         wi.laneMask = mask & full;
-        wi.laneAddrs.assign(threads, 0);
+        wi.addrBase = static_cast<std::uint32_t>(out.addrs.size());
+        out.addrs.resize(out.addrs.size() + threads, 0);
         for (std::uint64_t m = wi.laneMask; m; m &= m - 1) {
             const unsigned l = ctz64(m);
-            wi.laneAddrs[l] = addr_of(l);
+            out.addrs[wi.addrBase + l] = addr_of(l);
         }
-        out.instrs.push_back(std::move(wi));
+        out.instrs.push_back(wi);
     };
 
     gpu::WarpInstr c;
@@ -211,14 +214,59 @@ buildTestWarp(std::uint64_t i, gpu::Warp &out)
 gpu::WarpSource
 makeSource(std::uint64_t count)
 {
-    auto next = std::make_shared<std::uint64_t>(0);
-    return [next, count](gpu::Warp &out) {
-        if (*next >= count)
+    return [next = std::uint64_t{0}, count](gpu::Warp &out) mutable {
+        if (next >= count)
             return false;
-        buildTestWarp(*next, out);
-        ++*next;
+        buildTestWarp(next++, out);
         return true;
     };
+}
+
+/**
+ * Drive @p a and @p b in lockstep from tick @p now until both drain,
+ * the way the event scheduler would (service busy ticks, fast-forward
+ * pure stalls). They must agree on busy(), nextWakeTick() and the
+ * active cycles gained since the call at every step. Leaves the
+ * drained tick in @p now and counts serviced ticks in @p serviced.
+ */
+void
+driveLockstep(StreamingMultiprocessor &a, StreamingMultiprocessor &b,
+              Tick &now, std::uint64_t &serviced)
+{
+    const double a0 = a.activeCycles();
+    const double b0 = b.activeCycles();
+    for (std::uint64_t iter = 0; iter < 50'000'000; ++iter) {
+        const Tick wa = a.nextWakeTick();
+        ASSERT_EQ(wa, b.nextWakeTick()) << "tick " << now;
+        const bool ba = a.busy(now);
+        ASSERT_EQ(ba, b.busy(now)) << "tick " << now;
+        if (ba) {
+            a.tick(now);
+            b.tick(now);
+            ASSERT_EQ(a.activeCycles() - a0, b.activeCycles() - b0)
+                << "tick " << now;
+            ++serviced;
+            ++now;
+            continue;
+        }
+        if (wa == tickNever)
+            return;
+        now = std::max(now + 1, wa); // fast-forward a pure stall
+    }
+    FAIL() << "the SMs did not drain";
+}
+
+void
+expectSameKernelStats(const gpu::KernelStats &a,
+                      const gpu::KernelStats &b)
+{
+    EXPECT_EQ(a.warps, b.warps);
+    EXPECT_EQ(a.threads, b.threads);
+    EXPECT_EQ(a.warpInstrs, b.warpInstrs);
+    EXPECT_EQ(a.threadInstrs, b.threadInstrs);
+    EXPECT_EQ(a.warpMemInstrs, b.warpMemInstrs);
+    EXPECT_EQ(a.memTransactions, b.memTransactions);
+    EXPECT_EQ(a.memLanes, b.memLanes);
 }
 
 TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
@@ -237,36 +285,15 @@ TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
 
     Tick now = 0;
     std::uint64_t serviced = 0;
-    for (std::uint64_t iter = 0; iter < 50'000'000; ++iter) {
-        const Tick wr = ref.sm.nextWakeTick();
-        ASSERT_EQ(wr, soa.sm.nextWakeTick()) << "tick " << now;
-        const bool br = ref.sm.busy(now);
-        ASSERT_EQ(br, soa.sm.busy(now)) << "tick " << now;
-        if (br) {
-            ref.sm.tick(now);
-            soa.sm.tick(now);
-            ASSERT_EQ(ref.sm.activeCycles(), soa.sm.activeCycles())
-                << "tick " << now;
-            ++serviced;
-            ++now;
-            continue;
-        }
-        if (wr == tickNever)
-            break;
-        now = std::max(now + 1, wr); // fast-forward a pure stall
-    }
+    driveLockstep(ref.sm, soa.sm, now, serviced);
+    if (HasFatalFailure())
+        return;
     EXPECT_GT(serviced, warps); // the drive actually ran work
 
     ref.sm.endKernel(now);
     soa.sm.endKernel(now);
 
-    EXPECT_EQ(ksRef.warps, ksSoa.warps);
-    EXPECT_EQ(ksRef.threads, ksSoa.threads);
-    EXPECT_EQ(ksRef.warpInstrs, ksSoa.warpInstrs);
-    EXPECT_EQ(ksRef.threadInstrs, ksSoa.threadInstrs);
-    EXPECT_EQ(ksRef.warpMemInstrs, ksSoa.warpMemInstrs);
-    EXPECT_EQ(ksRef.memTransactions, ksSoa.memTransactions);
-    EXPECT_EQ(ksRef.memLanes, ksSoa.memLanes);
+    expectSameKernelStats(ksRef, ksSoa);
 
     const std::string dr = ref.dump();
     const std::string ds = soa.dump();
@@ -274,6 +301,127 @@ TEST(SmTickEquivalence, LockstepTrajectoryAndFinalStatsMatch)
     EXPECT_EQ(dr, ds)
         << "issue paths diverged somewhere the per-tick probes "
            "don't reach";
+}
+
+/**
+ * Warp @p i of the wake-bucket drive. Even warps arrive ready, run a
+ * short compute program and retire early. Odd warps arrive blocked
+ * until distinct ticks thousands of cycles apart, in an order
+ * unrelated to their arrival, then load and compute. Each short
+ * warp's retirement therefore squeezes slots out from under a
+ * populated set of far-future wake buckets.
+ */
+void
+buildFarWakeWarp(std::uint64_t i, gpu::Warp &out)
+{
+    out.threads = 32;
+    gpu::WarpInstr c;
+    c.kind = gpu::ThreadOp::Kind::Compute;
+    c.computeCount = 1 + static_cast<std::uint32_t>(i % 3);
+    out.instrs.push_back(c);
+    if (i % 2 == 0)
+        return;
+    // 37 is coprime to 97, so the 96 odd warps get distinct ticks.
+    out.blockedUntil = 100 + 4099 * ((i / 2 * 37) % 97);
+    gpu::WarpInstr ld;
+    ld.kind = gpu::ThreadOp::Kind::Load;
+    ld.laneMask = maskLow(32);
+    ld.addrBase = static_cast<std::uint32_t>(out.addrs.size());
+    for (unsigned l = 0; l < 32; ++l)
+        out.addrs.push_back((mixBits(i * 32 + l) & 0xFFFFF) * 64);
+    out.instrs.push_back(ld);
+    out.instrs.push_back(c);
+}
+
+TEST(SmTickEquivalence, FarApartWakesSurviveRetirementInLockstep)
+{
+    SmRig ref(SmIssuePath::Reference);
+    SmRig soa(SmIssuePath::SoaMasked);
+    const std::uint64_t warps = 3 * ref.params.maxResidentWarps();
+    auto source = [warps] {
+        return [next = std::uint64_t{0}, warps](gpu::Warp &out) mutable {
+            if (next >= warps)
+                return false;
+            buildFarWakeWarp(next++, out);
+            return true;
+        };
+    };
+    gpu::KernelStats ksRef, ksSoa;
+    ref.sm.beginKernel(source(), &ksRef);
+    soa.sm.beginKernel(source(), &ksSoa);
+
+    Tick now = 0;
+    std::uint64_t serviced = 0;
+    driveLockstep(ref.sm, soa.sm, now, serviced);
+    if (HasFatalFailure())
+        return;
+    // The latest arrival tick is ~390k cycles out.
+    EXPECT_GT(now, Tick{300'000});
+
+    ref.sm.endKernel(now);
+    soa.sm.endKernel(now);
+    expectSameKernelStats(ksRef, ksSoa);
+    EXPECT_EQ(ksSoa.warps, warps);
+    EXPECT_EQ(ref.dump(), soa.dump());
+}
+
+TEST(SmTickEquivalence, BackToBackKernelsMatchAFreshSm)
+{
+    // Two SMs on one memory system. In `reused`, sm runs kernel 1 and
+    // then kernel 2, so kernel 2's warps are built into buffers kernel
+    // 1's warps retired. In `fresh`, sm runs kernel 1 and a second,
+    // never-used SM runs kernel 2. The memory system sees the same
+    // traffic up to kernel 2 in both, so kernel 2 must run the same.
+    struct TwoSmRig : SmRig
+    {
+        TwoSmRig()
+            : SmRig(SmIssuePath::SoaMasked),
+              other(params, 1, &mem, &root, &sim)
+        {
+        }
+        StreamingMultiprocessor other;
+    };
+    TwoSmRig reused, fresh;
+
+    // Kernel 1 warps are long, so their recycled buffers are larger
+    // than anything kernel 2 builds.
+    auto kernel1 = [](std::uint64_t count) {
+        return [next = std::uint64_t{0}, count](gpu::Warp &out) mutable {
+            if (next >= count)
+                return false;
+            for (int rep = 0; rep < 3; ++rep)
+                buildTestWarp(next, out);
+            ++next;
+            return true;
+        };
+    };
+    const std::uint64_t warps = 2 * reused.params.maxResidentWarps();
+    gpu::KernelStats k1Reused, k1Fresh;
+    reused.sm.beginKernel(kernel1(warps), &k1Reused);
+    fresh.sm.beginKernel(kernel1(warps), &k1Fresh);
+    Tick now = 0;
+    std::uint64_t serviced = 0;
+    driveLockstep(reused.sm, fresh.sm, now, serviced);
+    if (HasFatalFailure())
+        return;
+    reused.sm.endKernel(now);
+    fresh.sm.endKernel(now);
+    expectSameKernelStats(k1Reused, k1Fresh);
+
+    gpu::KernelStats k2Reused, k2Fresh;
+    reused.sm.beginKernel(makeSource(warps + 7), &k2Reused);
+    fresh.other.beginKernel(makeSource(warps + 7), &k2Fresh);
+    const Tick start = now;
+    driveLockstep(reused.sm, fresh.other, now, serviced);
+    if (HasFatalFailure())
+        return;
+    EXPECT_GT(now, start);
+    reused.sm.endKernel(now);
+    fresh.other.endKernel(now);
+    expectSameKernelStats(k2Reused, k2Fresh);
+    EXPECT_EQ(k2Fresh.warps, warps + 7);
+    EXPECT_EQ(reused.sm.activeCycles() - fresh.sm.activeCycles(),
+              fresh.other.activeCycles());
 }
 
 TEST(SmTickEquivalence, WarpArrivingBlockedIsPromotedIdentically)
