@@ -117,33 +117,67 @@ mixBits(std::uint64_t k)
 }
 
 /**
- * Division and remainder by a divisor fixed at construction: a shift
- * and a mask when the divisor is a power of two (every shipped cache
- * and DRAM geometry), a hardware divide otherwise.
+ * Division and remainder by a divisor fixed at construction, without
+ * a hardware divide: a shift and a mask when the divisor is a power
+ * of two (every shipped cache and DRAM geometry), and otherwise
+ * multiplications by the 128-bit reciprocal M = ceil(2^128 / d)
+ * (Lemire, Kaser, Kurz, "Faster remainder by direct computation",
+ * 2019). Both are exact for every 64-bit dividend: with 128 fraction
+ * bits, F = 128 >= 64 + ceil(log2 d) meets the paper's Theorem 1, so
+ * v / d = floor(M v / 2^128) and v mod d = floor(((M v) mod 2^128)
+ * d / 2^128).
  */
 class FixedDivisor
 {
   public:
     explicit FixedDivisor(std::uint64_t d)
-        : divisor(d), pow2(isPowerOf2(d)), shift(floorLog2(d))
-    {}
+        : divisor(d), pow2(isPowerOf2(d)), shift(floorLog2(d)),
+          reciprocal(pow2 || d == 0 ? 0 : ~Uint128{0} / d + 1)
+    {
+        panic_if(d == 0, "FixedDivisor by zero");
+    }
 
     std::uint64_t
     div(std::uint64_t v) const
     {
-        return pow2 ? v >> shift : v / divisor;
+        if (pow2)
+            return v >> shift;
+        const Uint128 lo = Uint128{low64(reciprocal)} * v;
+        const Uint128 hi = Uint128{high64(reciprocal)} * v;
+        return high64(hi + high64(lo));
     }
 
     std::uint64_t
     mod(std::uint64_t v) const
     {
-        return pow2 ? v & (divisor - 1) : v % divisor;
+        if (pow2)
+            return v & (divisor - 1);
+        const Uint128 frac = reciprocal * v;
+        const Uint128 lo = Uint128{low64(frac)} * divisor;
+        const Uint128 hi = Uint128{high64(frac)} * divisor;
+        return high64(hi + high64(lo));
     }
 
   private:
+    __extension__ typedef unsigned __int128 Uint128;
+
+    static constexpr std::uint64_t
+    low64(Uint128 v)
+    {
+        return static_cast<std::uint64_t>(v);
+    }
+
+    static constexpr std::uint64_t
+    high64(Uint128 v)
+    {
+        return static_cast<std::uint64_t>(v >> 64);
+    }
+
     std::uint64_t divisor;
     bool pow2;
     unsigned shift;
+    /** ceil(2^128 / divisor); unused when the divisor is 2^n. */
+    Uint128 reciprocal;
 };
 
 } // namespace scusim

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -31,6 +30,7 @@
 #include "mem/cache.hh"
 #include "mem/coalescer.hh"
 #include "sim/clocked.hh"
+#include "sim/tick_queue.hh"
 #include "stats/stats.hh"
 
 namespace scusim::sim
@@ -281,8 +281,7 @@ class StreamingMultiprocessor : public sim::Clocked
     Tick wakeCache = tickNever;
 
     Tick lsuFree = 0;
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        outstandingLoads;
+    sim::TickQueue outstandingLoads;
     std::vector<Addr> txnScratch;
     trace::TraceChannel *traceChan = nullptr;
     std::size_t mshrHighWater = 0; ///< outstanding-load FIFO peak

@@ -15,7 +15,6 @@
 #ifndef SCUSIM_MEM_CACHE_HH
 #define SCUSIM_MEM_CACHE_HH
 
-#include <queue>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "common/bits.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
+#include "sim/tick_queue.hh"
 #include "stats/stats.hh"
 
 namespace scusim::mem
@@ -146,8 +146,7 @@ class Cache : public MemLevel
     std::vector<Tick> bankFree;
 
     /** Completion ticks of outstanding misses (MSHR occupancy). */
-    std::priority_queue<Tick, std::vector<Tick>, std::greater<Tick>>
-        outstanding;
+    sim::TickQueue outstanding;
     /**
      * Tracked fill ticks of lines evicted before their fill was
      * retired, by tag; a write-validate allocation of the tag

@@ -42,6 +42,8 @@ HashTableBase::HashTableBase(const HashConfig &config,
                              mem::AddressSpace &as,
                              const std::string &name)
     : cfg(config), sets(config.numSets()),
+      setDiv(std::max<std::uint64_t>(1, sets)),
+      wayDiv(std::max(1u, config.ways)),
       base(as.alloc(name, config.sizeBytes)), occ(sets, 0),
       waysMask(maskLow(config.ways))
 {

@@ -68,14 +68,14 @@ class HashTableBase
     std::uint64_t
     setOf(std::uint64_t k) const
     {
-        return mixBits(k) % sets;
+        return setDiv.mod(mixBits(k));
     }
 
     /** Victim way when the set is full (cheap hardware policy). */
     unsigned
     victimWay(std::uint64_t k) const
     {
-        return static_cast<unsigned>((mixBits(k) >> 32) % cfg.ways);
+        return static_cast<unsigned>(wayDiv.mod(mixBits(k) >> 32));
     }
 
     /** Clear all entries (start of a new compaction pass). */
@@ -84,6 +84,8 @@ class HashTableBase
   protected:
     HashConfig cfg;
     std::uint64_t sets;
+    FixedDivisor setDiv;
+    FixedDivisor wayDiv;
     Addr base;
 
     /**

@@ -14,25 +14,21 @@ constexpr Addr noLine = static_cast<Addr>(-1);
 } // namespace
 
 ScuPipeline::ScuPipeline(const ScuParams &params, mem::MemSystem &m,
-                         RadixQueue &window, Tick start)
-    : p(params), mem(m), startTick(start + params.opSetupCycles),
-      txnIssue(startTick), memReady(startTick),
-      lastGatherLine(noLine), lastWriteLine(noLine),
-      lastHashLine(noLine), inflight(window)
+                         sim::TickQueue &window, Tick start)
+    : p(params), mem(m), lineBytes(m.l2().params().lineBytes),
+      startTick(start + params.opSetupCycles), txnIssue(startTick),
+      memReady(startTick), lastGatherLine(noLine),
+      lastWriteLine(noLine), lastHashLine(noLine), inflight(window),
+      // The Data Fetch FIFO (38 KB, Table 1) tracks outstanding read
+      // requests at 4 B per descriptor: the unit tolerates full
+      // memory latency with thousands of requests in flight. (The
+      // coalescing unit's 32-entry figure is its merge CAM, modeled
+      // by the line-merge checks.) The L2 MSHRs bound realized
+      // parallelism.
+      windowSlots(static_cast<std::size_t>(params.fifoRequestBytes / 4))
 {
     lastLine.fill(noLine);
     inflight.clear();
-}
-
-std::size_t
-ScuPipeline::readWindowSlots(const ScuParams &p)
-{
-    // The Data Fetch FIFO (38 KB, Table 1) tracks outstanding read
-    // requests at 4 B per descriptor: the unit tolerates full memory
-    // latency with thousands of requests in flight. (The coalescing
-    // unit's 32-entry figure is its merge CAM, modeled by the
-    // line-merge checks.) The L2 MSHRs bound realized parallelism.
-    return static_cast<std::size_t>(p.fifoRequestBytes / 4);
 }
 
 Tick
@@ -51,7 +47,7 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
     ++readsIssued;
     while (!inflight.empty() && inflight.top() <= t)
         inflight.pop();
-    if (inflight.size() >= inflight.capacity()) {
+    if (inflight.size() >= windowSlots) {
         t = std::max(t, inflight.top());
         inflight.pop();
     }
@@ -59,15 +55,11 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
     // in-memory hash tables stay cache resident.
     auto r = mem.access(t, line_addr, mem::AccessKind::ReadNoAlloc,
                         bytes);
-    // t never decreases within an operation, so the queue's floor
-    // never passes it. A completion below t (only a MemReorder fault
-    // makes one) is retired by the next call's purge before any
-    // decision reads it, as r.complete itself would be.
-    inflight.push(std::max(r.complete, t));
+    inflight.push(r.complete);
     traffic.maxInflight =
         std::max<std::uint64_t>(traffic.maxInflight, inflight.size());
     sim::checkOccupancy("scu inflight window", inflight.size(),
-                        inflight.capacity());
+                        windowSlots);
     memReady = std::max(memReady, r.complete);
     txnIssue = t;
     ++traffic.readTxns;
@@ -76,13 +68,12 @@ ScuPipeline::issueRead(Addr line_addr, unsigned bytes)
 void
 ScuPipeline::seqRead(Stream s, Addr addr, unsigned bytes)
 {
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
-    Addr end_line = alignDown(addr + bytes - 1, line_bytes);
+    Addr line = alignDown(addr, lineBytes);
+    Addr end_line = alignDown(addr + bytes - 1, lineBytes);
     auto &last = lastLine[static_cast<unsigned>(s)];
-    for (Addr l = line; l <= end_line; l += line_bytes) {
+    for (Addr l = line; l <= end_line; l += lineBytes) {
         if (l != last) {
-            issueRead(l, line_bytes);
+            issueRead(l, lineBytes);
             last = l;
         }
     }
@@ -107,10 +98,9 @@ ScuPipeline::gatherRead(Addr addr, unsigned bytes)
 void
 ScuPipeline::seqWrite(Addr addr, unsigned bytes)
 {
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
-    Addr end_line = alignDown(addr + bytes - 1, line_bytes);
-    for (Addr l = line; l <= end_line; l += line_bytes) {
+    Addr line = alignDown(addr, lineBytes);
+    Addr end_line = alignDown(addr + bytes - 1, lineBytes);
+    for (Addr l = line; l <= end_line; l += lineBytes) {
         if (l != lastWriteLine) {
             // Posted write through the Data Store's own port; it
             // reserves memory occupancy but nothing waits on it.
@@ -119,7 +109,7 @@ ScuPipeline::seqWrite(Addr addr, unsigned bytes)
             // the (shared) L2.
             Tick t = portTick(storesIssued);
             ++storesIssued;
-            mem.access(t, l, mem::AccessKind::Write, line_bytes);
+            mem.access(t, l, mem::AccessKind::Write, lineBytes);
             ++traffic.writeTxns;
             lastWriteLine = l;
         }
@@ -133,8 +123,7 @@ ScuPipeline::hashAccess(Addr addr, bool write, unsigned read_bytes)
     // the set and, if needed, updates the entry in the same pipelined
     // probe, so the port advances once regardless. Transfers are
     // sector granular (the probed set, not a whole line).
-    const unsigned line_bytes = mem.l2().params().lineBytes;
-    Addr line = alignDown(addr, line_bytes);
+    Addr line = alignDown(addr, lineBytes);
     Tick t = portTick(hashIssued);
     ++hashIssued;
     if (line != lastHashLine) {

@@ -23,8 +23,8 @@
 
 #include "common/types.hh"
 #include "mem/mem_system.hh"
-#include "scu/radix_queue.hh"
 #include "scu/scu_config.hh"
+#include "sim/tick_queue.hh"
 
 namespace scusim::scu
 {
@@ -55,15 +55,12 @@ class ScuPipeline
 {
   public:
     /**
-     * @p window holds the operation's in-flight read completions and
-     * its capacity bounds them; it is emptied here and reused by the
-     * owner's next operation so its storage is allocated once.
+     * @p window holds the operation's in-flight read completions; it
+     * is emptied here and reused by the owner's next operation so its
+     * storage is allocated once.
      */
     ScuPipeline(const ScuParams &params, mem::MemSystem &mem,
-                RadixQueue &window, Tick start);
-
-    /** Outstanding-read budget from the request FIFO capacity. */
-    static std::size_t readWindowSlots(const ScuParams &params);
+                sim::TickQueue &window, Tick start);
 
     /** Account @p n element slots through the pipeline. */
     void
@@ -109,6 +106,8 @@ class ScuPipeline
 
     const ScuParams &p;
     mem::MemSystem &mem;
+    /** L2 line size: the read and write coalescing granule. */
+    const unsigned lineBytes;
     Tick startTick;
 
     /** Last read-issue tick (for in-flight window accounting). */
@@ -126,12 +125,10 @@ class ScuPipeline
     Addr lastWriteLine;
     Addr lastHashLine;
 
-    /**
-     * Completion ticks of reads in flight. Read issue ticks never
-     * decrease within an operation, which is what lets a monotone
-     * radix queue stand in for a heap (DESIGN.md).
-     */
-    RadixQueue &inflight;
+    /** Completion ticks of reads in flight. */
+    sim::TickQueue &inflight;
+    /** Outstanding-read budget, from the request FIFO capacity. */
+    const std::size_t windowSlots;
 
     PipelineTraffic traffic;
 };

@@ -43,7 +43,6 @@ Scu::Scu(const ScuParams &params, mem::MemSystem &mem,
          sim::Simulation &simulation, mem::AddressSpace &as,
          stats::StatGroup *parent)
     : p(params), memSys(mem), sim(simulation),
-      readWindow(ScuPipeline::readWindowSlots(p)),
       uniqueTable(std::make_unique<UniqueFilterTable>(
           p.filterBfsHash, as)),
       uniqueTable2(std::make_unique<UniqueFilterTable>(

@@ -216,7 +216,7 @@ class Scu
     mem::MemSystem &memSys;
     sim::Simulation &sim;
     /** Read window of the operation in flight (one at a time). */
-    RadixQueue readWindow;
+    sim::TickQueue readWindow;
 
     std::unique_ptr<UniqueFilterTable> uniqueTable;
     std::unique_ptr<UniqueFilterTable> uniqueTable2;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bits.hh"
 #include "common/fifo.hh"
@@ -66,6 +67,27 @@ TEST(Bits, MixBitsAvalanche)
     for (std::uint64_t i = 0; i < 4096; ++i)
         seen.insert(mixBits(i));
     EXPECT_EQ(seen.size(), 4096u);
+}
+
+TEST(Bits, FixedDivisorMatchesHardwareDivide)
+{
+    const std::uint64_t top = ~std::uint64_t{0};
+    Rng rng(17);
+    const std::uint64_t divisors[] = {
+        1, 2, 3, 7, 10, 1000, std::uint64_t{1} << 40,
+        (std::uint64_t{1} << 40) + 1, std::uint64_t{1} << 63,
+        (std::uint64_t{1} << 63) + 1, top - 1, top};
+    for (std::uint64_t d : divisors) {
+        const FixedDivisor fd(d);
+        std::vector<std::uint64_t> vs = {0, 1, d - 1, d, d + 1,
+                                         top - 1, top};
+        for (int i = 0; i < 20000; ++i)
+            vs.push_back(rng.next());
+        for (std::uint64_t v : vs) {
+            ASSERT_EQ(fd.div(v), v / d) << v << " / " << d;
+            ASSERT_EQ(fd.mod(v), v % d) << v << " % " << d;
+        }
+    }
 }
 
 TEST(BoundedFifo, FillAndDrain)

@@ -18,10 +18,10 @@
 #include "mem/address_space.hh"
 #include "mem/mem_system.hh"
 #include "scu/hash_table.hh"
-#include "scu/radix_queue.hh"
 #include "scu/scu.hh"
 #include "sim/clock.hh"
 #include "sim/simulation.hh"
+#include "sim/tick_queue.hh"
 #include "stats/stats.hh"
 
 using namespace scusim;
@@ -536,13 +536,40 @@ TEST(HashTable, GroupingFlushEmitsEverything)
     EXPECT_EQ(order.size(), 20u);
 }
 
+/**
+ * setOf and victimWay reduce a 64-bit hash by the set and way counts
+ * through FixedDivisor; it must equal the hardware remainder for
+ * every count a shipped table has (12288, 2457, 2112, 1536 and 288
+ * sets are not powers of two).
+ */
+TEST(HashTable, FixedDivisorMatchesRemainderForShippedGeometries)
+{
+    Rng rng(9);
+    for (const ScuParams &p : {ScuParams::forGtx980(),
+                               ScuParams::forTx1()}) {
+        for (const HashConfig &h :
+             {p.filterBfsHash, p.filterSsspHash, p.groupHash}) {
+            for (std::uint64_t d : {h.numSets(), std::uint64_t{h.ways}}) {
+                const FixedDivisor fd(d);
+                for (int i = 0; i < 100000; ++i) {
+                    const std::uint64_t v = rng.next();
+                    ASSERT_EQ(fd.mod(v), v % d) << v << " % " << d;
+                }
+                EXPECT_EQ(fd.mod(~std::uint64_t{0}),
+                          ~std::uint64_t{0} % d);
+            }
+        }
+    }
+}
+
 // ----------------------------------------------------------------
-// The read window's radix queue against a binary heap.
+// The read window's queue against a binary heap. (The suite name is
+// that of the radix heap the window used before sim::TickQueue.)
 // ----------------------------------------------------------------
 
 TEST(RadixQueue, PeekDoesNotMoveTheFloor)
 {
-    RadixQueue q(8);
+    sim::TickQueue q;
     q.push(10);
     q.push(20);
     q.pop();
@@ -574,7 +601,7 @@ TEST(RadixQueue, MatchesBinaryHeapOnReadWindowTraces)
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         Rng rng(seed);
         const std::size_t limit = 16 + rng.below(400);
-        RadixQueue rq(limit);
+        sim::TickQueue rq;
         for (int op = 0; op < 4; ++op) {
             rq.clear();
             std::priority_queue<Tick, std::vector<Tick>,
@@ -595,7 +622,7 @@ TEST(RadixQueue, MatchesBinaryHeapOnReadWindowTraces)
                 if (!pq.empty()) {
                     ASSERT_EQ(rq.top(), pq.top()); // peek, no pop
                 }
-                if (pq.size() >= rq.capacity()) {
+                if (pq.size() >= limit) {
                     t = std::max(t, pq.top());
                     pop_both();
                 }
