@@ -146,7 +146,7 @@ class StreamingMultiprocessor : public sim::Clocked
      * Issue path new SMs use: the override if set, else SoaMasked.
      */
     static SmIssuePath defaultIssuePath();
-    /** Process-wide override (tests/bench); survives until cleared. */
+    /** Process-wide override (tests); survives until cleared. */
     static void overrideDefaultIssuePath(SmIssuePath path);
     static void clearDefaultIssuePathOverride();
 

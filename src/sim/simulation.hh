@@ -44,7 +44,7 @@ class FaultInjector;
  * implementation that re-asks every Clocked component for busy()/
  * nextWakeTick() on every serviced tick. Both produce byte-identical
  * stats — the scheduler-equivalence test enforces it — so Polling
- * exists only as the equivalence oracle and the perf baseline.
+ * exists only as that test's equivalence oracle.
  */
 enum class SchedulerMode { EventDriven, Polling };
 
@@ -93,7 +93,7 @@ class Simulation
      *  unless overridden with setScheduler before the first run). */
     SchedulerMode scheduler() const { return schedMode; }
 
-    /** Force this instance's scheduler (tests / benches). */
+    /** Force this instance's scheduler (tests). */
     void setScheduler(SchedulerMode m) { schedMode = m; }
 
     /**
@@ -102,8 +102,8 @@ class Simulation
      */
     static SchedulerMode defaultScheduler();
 
-    /** Process-wide scheduler override for new Simulations
-     *  (benches comparing both modes); clear with the second form. */
+    /** Process-wide scheduler override for new Simulations (the
+     *  equivalence oracle's tests); clear with the second form. */
     static void overrideDefaultScheduler(SchedulerMode m);
     static void clearDefaultSchedulerOverride();
 

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <set>
@@ -67,6 +69,99 @@ randomMask(Rng &rng, std::size_t n, double p)
     for (auto &x : m)
         x = rng.chance(p) ? 1 : 0;
     return m;
+}
+
+/** Written into output slots before an op; no input value equals it. */
+constexpr std::uint32_t kSentinel = 0xDEADBEEF;
+constexpr std::uint8_t kFlagSentinel = 0xA5;
+/** Output slots allocated past the expected length. */
+constexpr std::size_t kSlack = 16;
+
+/** Input length of the Data Fetch request FIFO (38 KB of 4 B). */
+std::size_t
+fifoElems()
+{
+    return ScuParams::forTx1().fifoRequestBytes / 4;
+}
+
+enum class MaskKind { Null, Zeros, Ones, Random };
+
+/** One input shape of the sentinel-checked oracle tests. */
+struct OpCase
+{
+    std::size_t n;
+    MaskKind mask;
+};
+
+/**
+ * The shapes each compaction oracle test covers: empty input with
+ * and without a mask, all-zero, all-one, null and random masks, and
+ * one input longer than the request FIFO, so the read window fills.
+ */
+std::vector<OpCase>
+oracleCases(Rng &rng)
+{
+    const std::size_t n = 200 + rng.below(800);
+    const std::size_t big = fifoElems() + 1 + rng.below(2048);
+    return {{0, MaskKind::Null},  {0, MaskKind::Random},
+            {n, MaskKind::Zeros}, {n, MaskKind::Ones},
+            {n, MaskKind::Null},  {n, MaskKind::Random},
+            {big, MaskKind::Random}};
+}
+
+/** Host flags of @p c's mask; a null mask keeps every element. */
+std::vector<std::uint8_t>
+maskFor(Rng &rng, const OpCase &c)
+{
+    switch (c.mask) {
+      case MaskKind::Zeros:
+        return std::vector<std::uint8_t>(c.n, 0);
+      case MaskKind::Random:
+        return randomMask(rng, c.n, 0.5);
+      case MaskKind::Null:
+      case MaskKind::Ones:
+        break;
+    }
+    return std::vector<std::uint8_t>(c.n, 1);
+}
+
+/**
+ * Exclusive prefix sum of @p counts, one entry longer than it: where
+ * each element's run starts in the compacted output, and the total
+ * at the back (the cumulative-sum step of a scan → scatter
+ * compaction).
+ */
+std::vector<std::size_t>
+exclusiveScan(const std::vector<std::uint32_t> &counts)
+{
+    std::vector<std::size_t> off(counts.size() + 1, 0);
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        off[i + 1] = off[i] + counts[i];
+    return off;
+}
+
+/** An output array of @p n slots, every one holding the sentinel. */
+Scu::Elems
+sentinelOut(mem::AddressSpace &as, std::size_t n)
+{
+    Scu::Elems out(as, "out", n);
+    std::fill(out.host().begin(), out.host().end(), kSentinel);
+    return out;
+}
+
+/**
+ * out[0, out_n) must equal @p want, and every slot at or past out_n
+ * must still hold the sentinel.
+ */
+void
+expectCompacted(const Scu::Elems &out, std::size_t out_n,
+                const std::vector<std::uint32_t> &want)
+{
+    ASSERT_EQ(out_n, want.size());
+    for (std::size_t i = 0; i < out_n; ++i)
+        ASSERT_EQ(out[i], want[i]) << "slot " << i;
+    for (std::size_t i = out_n; i < out.size(); ++i)
+        ASSERT_EQ(out[i], kSentinel) << "slot " << i << " past out_n";
 }
 
 } // namespace
@@ -253,6 +348,142 @@ TEST_P(ScuOpProperty, GroupedOutputIsPermutationOfKept)
     for (std::size_t i = 0; i < got_n; ++i)
         got.insert(out[i]);
     EXPECT_EQ(got, want);
+}
+
+TEST_P(ScuOpProperty, BitmaskConstructorMatchesOracle)
+{
+    Rng rng(GetParam() * 17 + 9);
+    Rig r;
+    using Cmp = std::function<bool(std::uint32_t, std::uint32_t)>;
+    const std::pair<CompareOp, Cmp> ops[] = {
+        {CompareOp::Eq, std::equal_to<std::uint32_t>()},
+        {CompareOp::Ne, std::not_equal_to<std::uint32_t>()},
+        {CompareOp::Lt, std::less<std::uint32_t>()},
+        {CompareOp::Le, std::less_equal<std::uint32_t>()},
+        {CompareOp::Gt, std::greater<std::uint32_t>()},
+        {CompareOp::Ge, std::greater_equal<std::uint32_t>()},
+    };
+    const std::size_t sizes[] = {0, 200 + rng.below(800),
+                                 fifoElems() + 1 + rng.below(2048)};
+    // Refs 0 and the maximum give all-zero and all-one outputs (Lt 0,
+    // Ge 0, Gt max, Le max); an input value gives ties for Eq/Le/Ge.
+    bool sawAllZero = false, sawAllOne = false;
+    for (std::size_t n : sizes) {
+        auto vals = randomVec(rng, n, 64);
+        Scu::Elems in(r.as, "in", n);
+        for (std::size_t i = 0; i < n; ++i)
+            in[i] = vals[i];
+        const std::uint32_t refs[] = {
+            0, n ? vals[n / 2] : 7u,
+            std::numeric_limits<std::uint32_t>::max()};
+        for (const auto &[op, cmp] : ops) {
+            for (std::uint32_t ref : refs) {
+                SCOPED_TRACE(::testing::Message()
+                             << "n=" << n << " op="
+                             << static_cast<int>(op) << " ref=" << ref);
+                Scu::Flags out(r.as, "out", n + kSlack);
+                std::fill(out.host().begin(), out.host().end(),
+                          kFlagSentinel);
+                r.scu->bitmaskConstructor(in, n, op, ref, out);
+
+                std::size_t ones = 0;
+                for (std::size_t i = 0; i < n; ++i) {
+                    ASSERT_EQ(out[i], cmp(vals[i], ref) ? 1 : 0)
+                        << "slot " << i;
+                    ones += out[i];
+                }
+                for (std::size_t i = n; i < out.size(); ++i)
+                    ASSERT_EQ(out[i], kFlagSentinel) << "slot " << i;
+                sawAllZero |= n && ones == 0;
+                sawAllOne |= n && ones == n;
+            }
+        }
+    }
+    EXPECT_TRUE(sawAllZero);
+    EXPECT_TRUE(sawAllOne);
+}
+
+TEST_P(ScuOpProperty, AccessCompactionMatchesOracle)
+{
+    Rng rng(GetParam() * 19 + 11);
+    Rig r;
+    const std::size_t data_n = 500 + rng.below(500);
+    auto data = randomVec(rng, data_n, 1 << 30);
+    Scu::Elems d(r.as, "d", data_n);
+    for (std::size_t i = 0; i < data_n; ++i)
+        d[i] = data[i];
+
+    for (const OpCase &c : oracleCases(rng)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << c.n
+                     << " mask=" << static_cast<int>(c.mask));
+        auto idx = randomVec(rng, c.n,
+                             static_cast<std::uint32_t>(data_n));
+        auto keep = maskFor(rng, c);
+        Scu::Elems ix(r.as, "ix", c.n);
+        Scu::Flags m(r.as, "m", c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+            ix[i] = idx[i];
+            m[i] = keep[i];
+        }
+
+        // Oracle: scan the keep flags, then scatter the gathered
+        // value of every kept element to its scanned slot.
+        const auto off = exclusiveScan(
+            std::vector<std::uint32_t>(keep.begin(), keep.end()));
+        std::vector<std::uint32_t> want(off.back());
+        for (std::size_t i = 0; i < c.n; ++i) {
+            if (keep[i])
+                want[off[i]] = data[idx[i]];
+        }
+
+        Scu::Elems out = sentinelOut(r.as, want.size() + kSlack);
+        std::size_t got_n = 0;
+        r.scu->accessCompaction(
+            d, ix, c.n, c.mask == MaskKind::Null ? nullptr : &m, out,
+            got_n);
+        expectCompacted(out, got_n, want);
+    }
+}
+
+TEST_P(ScuOpProperty, ReplicationCompactionMatchesOracle)
+{
+    Rng rng(GetParam() * 23 + 13);
+    Rig r;
+    for (const OpCase &c : oracleCases(rng)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << c.n
+                     << " mask=" << static_cast<int>(c.mask));
+        auto vals = randomVec(rng, c.n, 1 << 30);
+        auto cnt = randomVec(rng, c.n, 9); // 0..8 copies
+        auto keep = maskFor(rng, c);
+        Scu::Elems in(r.as, "in", c.n), count(r.as, "count", c.n);
+        Scu::Flags m(r.as, "m", c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+            in[i] = vals[i];
+            count[i] = cnt[i];
+            m[i] = keep[i];
+        }
+
+        // Oracle: scan the kept counts, then scatter count[i] copies
+        // of in[i] from its scanned slot.
+        std::vector<std::uint32_t> kept(c.n);
+        for (std::size_t i = 0; i < c.n; ++i)
+            kept[i] = keep[i] ? cnt[i] : 0;
+        const auto off = exclusiveScan(kept);
+        std::vector<std::uint32_t> want(off.back());
+        for (std::size_t i = 0; i < c.n; ++i) {
+            for (std::uint32_t j = 0; j < kept[i]; ++j)
+                want[off[i] + j] = vals[i];
+        }
+
+        Scu::Elems out = sentinelOut(r.as, want.size() + kSlack);
+        std::size_t got_n = 0;
+        r.scu->replicationCompaction(
+            in, count, c.n, c.mask == MaskKind::Null ? nullptr : &m,
+            out, got_n);
+        expectCompacted(out, got_n, want);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScuOpProperty,
