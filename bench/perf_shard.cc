@@ -78,23 +78,10 @@ main(int argc, char **argv)
         const RunRecord &rec = records[i];
         const RunResult &r = rec.result;
 
-        // Per-device slices exist only on the sharded path; the
-        // single-device cells report their aggregate as one slice so
-        // every row has a hit-rate column.
-        std::vector<DeviceMetrics> devices = r.devices;
-        if (devices.empty()) {
-            DeviceMetrics dm;
-            dm.gpuEdgeWork = r.algMetrics.gpuEdgeWork;
-            dm.rawExpanded = r.algMetrics.rawExpanded;
-            dm.scuFiltered = r.algMetrics.scuFiltered;
-            dm.scuBusyCycles = r.scuBusyCycles;
-            devices.push_back(dm);
-        }
-
         std::string rates;
-        for (std::size_t d = 0; d < devices.size(); ++d) {
+        for (std::size_t d = 0; d < r.devices.size(); ++d) {
             rates += (d ? " " : "");
-            rates += bench::fmt("%.3f", devices[d].filterHitRate());
+            rates += bench::fmt("%.3f", r.devices[d].filterHitRate());
         }
         const bool ok = rec.ok && r.validated;
         table.row({rec.run.label, std::to_string(r.deviceCount),
@@ -110,13 +97,13 @@ main(int argc, char **argv)
              << ", \"icnBytes\": " << r.icnBytes
              << ", \"validated\": " << (ok ? "true" : "false")
              << ", \"perDevice\": [";
-        for (std::size_t d = 0; d < devices.size(); ++d) {
+        for (std::size_t d = 0; d < r.devices.size(); ++d) {
             json << (d ? "," : "") << "{\"gpuEdgeWork\": "
-                 << devices[d].gpuEdgeWork << ", \"rawExpanded\": "
-                 << devices[d].rawExpanded << ", \"scuFiltered\": "
-                 << devices[d].scuFiltered
+                 << r.devices[d].gpuEdgeWork << ", \"rawExpanded\": "
+                 << r.devices[d].rawExpanded << ", \"scuFiltered\": "
+                 << r.devices[d].scuFiltered
                  << ", \"filterHitRate\": "
-                 << bench::fmt("%.6f", devices[d].filterHitRate())
+                 << bench::fmt("%.6f", r.devices[d].filterHitRate())
                  << "}";
         }
         json << "]}" << (i + 1 < records.size() ? "," : "") << "\n";

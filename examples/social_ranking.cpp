@@ -14,7 +14,7 @@
 #include <numeric>
 #include <vector>
 
-#include "alg/pagerank.hh"
+#include "alg/driver.hh"
 #include "graph/datasets.hh"
 #include "harness/executor.hh"
 #include "harness/plan.hh"
@@ -33,11 +33,10 @@ main()
     // Functional result once, on a system with the SCU.
     harness::SystemConfig sc = harness::SystemConfig::gtx980(true);
     harness::System sys(sc);
-    alg::PageRankRunner pr(sys, g);
     alg::AlgOptions opt;
     opt.mode = harness::ScuMode::ScuBasic;
     opt.prMaxIterations = 10;
-    auto out = pr.run(opt);
+    auto out = alg::runPr(sys, g, nullptr, opt);
 
     std::vector<NodeId> order(g.numNodes());
     std::iota(order.begin(), order.end(), 0);

@@ -7,11 +7,6 @@
 namespace scusim::alg
 {
 
-BfsRunner::BfsRunner(harness::System &s, const graph::CsrGraph &graph)
-    : BfsRunner(s, 0, graph, nullptr)
-{
-}
-
 BfsRunner::BfsRunner(harness::System &s, DeviceId d,
                      const graph::CsrGraph &graph,
                      const graph::GraphPartition *p)
@@ -224,12 +219,11 @@ BfsRunner::splitBoundary(std::vector<BoundaryMsg> &outbox)
 }
 
 void
-BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs,
-                        std::uint32_t level)
+BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
 {
     if (msgs.empty())
         return;
-    panic_if(!frag, "acceptRemote on a non-sharded BFS runner");
+    panic_if(!frag, "acceptRemote on an unpartitioned BFS runner");
 
     std::size_t t = 0;
     for (const BoundaryMsg &msg : msgs) {
@@ -244,7 +238,6 @@ BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs,
                  "node frontier overflow on remote inject");
         nodeFrontier[nf_n++] = l;
     }
-    (void)level;
 
     // Timing: one thread per message — load it, probe the bitmask,
     // conditionally append to the frontier.
@@ -264,26 +257,9 @@ BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs,
 void
 BfsRunner::collect(std::vector<std::uint32_t> &globalDist) const
 {
-    panic_if(!frag, "collect on a non-sharded BFS runner");
-    for (NodeId l = 0; l < frag->numInner; ++l)
-        globalDist[frag->toGlobal[l]] = dist[l];
-}
-
-BfsResult
-BfsRunner::run(const AlgOptions &opt)
-{
-    BfsResult res;
-    beginRun(opt);
-
-    std::uint32_t level = 0;
-    while (nf_n > 0 && level < opt.maxIterations) {
-        ++level;
-        ++res.metrics.iterations;
-        runLevel(level, res.metrics, nullptr);
-    }
-
-    res.dist.assign(dist.host().begin(), dist.host().end());
-    return res;
+    const NodeId owned = frag ? frag->numInner : g.numNodes();
+    for (NodeId l = 0; l < owned; ++l)
+        globalDist[frag ? frag->toGlobal[l] : l] = dist[l];
 }
 
 } // namespace scusim::alg

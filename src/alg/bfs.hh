@@ -4,13 +4,11 @@
  * Merrill-style expand/contract structure of Section 2.1 with the
  * SCU offloads of Sections 3.3 (basic) and 4.4 (enhanced).
  *
- * The runner exposes two granularities: run() executes a complete
- * single-device BFS, and the beginRun()/runLevel()/acceptRemote()
- * step API lets the sharded driver (alg/sharded.cc) advance one
- * fragment per device in lockstep, exchanging boundary discoveries
- * between levels. run() is itself written on top of the step API, so
- * the single-device path and a one-fragment sharded run execute the
- * same code.
+ * The runner owns one device's share of a BFS and exposes it as
+ * steps, beginRun()/runLevel()/acceptRemote()/collect(). The level
+ * loop lives once, in runBfs() (alg/driver.cc), which advances one
+ * runner per device in lockstep and exchanges boundary discoveries
+ * between levels.
  */
 
 #ifndef SCUSIM_ALG_BFS_HH
@@ -37,27 +35,22 @@ struct BfsResult
 };
 
 /**
- * BFS runner bound to one system + graph. Owns the device frontiers.
+ * BFS runner bound to one device of a system. Owns the device
+ * frontiers.
  */
 class BfsRunner
 {
   public:
-    BfsRunner(harness::System &sys, const graph::CsrGraph &g);
-
     /**
-     * Fragment-aware runner for device @p dev of a sharded system:
-     * @p g must be @p part's fragment CSR for that device. Ghost
-     * vertices act as a local dedup cache; discoveries that land on
-     * them are split out of the frontier and returned as boundary
-     * messages.
+     * Runner for device @p dev. With a null @p part it works on the
+     * whole graph @p g; otherwise @p g must be @p part's fragment CSR
+     * for that device. Ghost vertices act as a local dedup cache;
+     * discoveries that land on them are split out of the frontier
+     * and returned as boundary messages.
      */
     BfsRunner(harness::System &sys, DeviceId dev,
               const graph::CsrGraph &g,
               const graph::GraphPartition *part);
-
-    BfsResult run(const AlgOptions &opt);
-
-    // --- Step API for the sharded driver -----------------------
 
     /** Reset state and seed the source (if owned locally). */
     void beginRun(const AlgOptions &opt);
@@ -67,16 +60,16 @@ class BfsRunner
     /**
      * One expand/contract level. New frontier entries that are ghost
      * vertices are removed and reported into @p outbox (global ids);
-     * pass nullptr outside sharded multi-device runs.
+     * pass nullptr outside multi-device runs.
      */
     void runLevel(std::uint32_t level, AlgMetrics &m,
                   std::vector<BoundaryMsg> *outbox);
 
-    /** Inject remotely discovered owned vertices at @p level. */
-    void acceptRemote(std::span<const BoundaryMsg> msgs,
-                      std::uint32_t level);
+    /** Inject remotely discovered owned vertices; each message
+     *  carries the vertex's level. */
+    void acceptRemote(std::span<const BoundaryMsg> msgs);
 
-    /** Scatter this fragment's inner distances into @p globalDist. */
+    /** Scatter this runner's owned distances into @p globalDist. */
     void collect(std::vector<std::uint32_t> &globalDist) const;
 
   private:
@@ -104,7 +97,7 @@ class BfsRunner
     Elems counts;
     Elems indexes;
     Flags flags;
-    Elems inbox; ///< staging for remote injections (sharded only)
+    Elems inbox; ///< staging for remote injections (multi-device only)
 
     std::vector<std::uint8_t> visited; ///< functional visited set
     /** Best-effort bitmask race window (threads in flight). */

@@ -27,12 +27,6 @@ asBits(float f)
 
 } // namespace
 
-PageRankRunner::PageRankRunner(harness::System &s,
-                               const graph::CsrGraph &graph)
-    : PageRankRunner(s, 0, graph, nullptr)
-{
-}
-
 PageRankRunner::PageRankRunner(harness::System &s, DeviceId d,
                                const graph::CsrGraph &graph,
                                const graph::GraphPartition *p)
@@ -162,7 +156,7 @@ PageRankRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
 {
     if (msgs.empty())
         return;
-    panic_if(!frag, "acceptRemote on a non-sharded PR runner");
+    panic_if(!frag, "acceptRemote on an unpartitioned PR runner");
 
     std::size_t t = 0;
     for (const BoundaryMsg &msg : msgs) {
@@ -219,32 +213,9 @@ PageRankRunner::dampen()
 void
 PageRankRunner::collect(std::vector<float> &ranks) const
 {
-    panic_if(!frag, "collect on a non-sharded PR runner");
-    for (NodeId l = 0; l < frag->numInner; ++l)
-        ranks[frag->toGlobal[l]] = asFloat(rankBits[l]);
-}
-
-PrResult
-PageRankRunner::run(const AlgOptions &opt)
-{
-    PrResult res;
-    const auto n = static_cast<std::size_t>(g.numNodes());
-    beginRun(opt);
-
-    for (unsigned it = 0; it < opt.prMaxIterations; ++it) {
-        ++res.metrics.iterations;
-        iterate(res.metrics, nullptr);
-        const float max_delta = dampen();
-        if (max_delta < static_cast<float>(opt.prEpsilon)) {
-            res.converged = true;
-            break;
-        }
-    }
-
-    res.ranks.resize(n);
-    for (std::size_t u = 0; u < n; ++u)
-        res.ranks[u] = asFloat(rankBits[u]);
-    return res;
+    const NodeId owned = frag ? frag->numInner : g.numNodes();
+    for (NodeId l = 0; l < owned; ++l)
+        ranks[frag ? frag->toGlobal[l] : l] = asFloat(rankBits[l]);
 }
 
 } // namespace scusim::alg

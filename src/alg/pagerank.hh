@@ -6,11 +6,12 @@
  * covers only the expansion — PR uses no filtering or grouping
  * (Section 4.6).
  *
- * The beginRun()/iterate()/dampen() step API lets the sharded driver
- * run one fragment per device: contributions crossing devices
- * accumulate into ghost rows and are flushed as boundary messages at
- * the iteration barrier, before the dampening pass. run() composes
- * the same steps into the original single-device loop.
+ * The runner owns one device's share and exposes it as steps
+ * (beginRun()/iterate()/dampen()). The iteration loop lives once, in
+ * runPr() (alg/driver.cc), which advances one runner per device:
+ * contributions crossing devices accumulate into ghost rows and are
+ * flushed as boundary messages at the iteration barrier, before the
+ * dampening pass.
  */
 
 #ifndef SCUSIM_ALG_PAGERANK_HH
@@ -40,16 +41,11 @@ struct PrResult
 class PageRankRunner
 {
   public:
-    PageRankRunner(harness::System &sys, const graph::CsrGraph &g);
-
-    /** Fragment-aware runner for device @p dev of a sharded run. */
+    /** Runner for device @p dev, over the whole graph @p g (null
+     *  @p part) or over @p part's fragment CSR for that device. */
     PageRankRunner(harness::System &sys, DeviceId dev,
                    const graph::CsrGraph &g,
                    const graph::GraphPartition *part);
-
-    PrResult run(const AlgOptions &opt);
-
-    // --- Step API for the sharded driver -----------------------
 
     /** Reset ranks and accumulators. */
     void beginRun(const AlgOptions &opt);
@@ -57,7 +53,7 @@ class PageRankRunner
     /**
      * One prepare/expand/rank-update sweep. Contributions that
      * accumulated on ghost rows are flushed into @p outbox (global
-     * id + float bits); pass nullptr outside sharded runs.
+     * id + float bits); pass nullptr outside multi-device runs.
      */
     void iterate(AlgMetrics &m, std::vector<BoundaryMsg> *outbox);
 
@@ -70,7 +66,7 @@ class PageRankRunner
      */
     float dampen();
 
-    /** Scatter this fragment's inner ranks into @p ranks. */
+    /** Scatter this runner's owned ranks into @p ranks. */
     void collect(std::vector<float> &ranks) const;
 
   private:
@@ -89,7 +85,7 @@ class PageRankRunner
     Elems indexes;
     Elems edgeFrontier;
     Elems weightFrontier;
-    Elems inbox; ///< staging for remote injections (sharded only)
+    Elems inbox; ///< staging for remote injections (multi-device only)
 };
 
 } // namespace scusim::alg

@@ -50,12 +50,6 @@ class WinnerDedup
 
 } // namespace
 
-SsspRunner::SsspRunner(harness::System &s,
-                       const graph::CsrGraph &graph)
-    : SsspRunner(s, 0, graph, nullptr)
-{
-}
-
 SsspRunner::SsspRunner(harness::System &s, DeviceId d,
                        const graph::CsrGraph &graph,
                        const graph::GraphPartition *p)
@@ -238,15 +232,7 @@ SsspRunner::beginRun(const AlgOptions &opt)
     }
 
     delta = opt.ssspDelta;
-    if (delta == 0) {
-        double avg = 0;
-        for (auto w : g.weightArray())
-            avg += w;
-        avg = g.numEdges() ? avg / static_cast<double>(g.numEdges())
-                           : 1.0;
-        delta = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(avg * 4.0));
-    }
+    panic_if(delta == 0, "SSSP delta left unresolved");
 
     std::fill(dist.host().begin(), dist.host().end(), infDist);
     gpuStreamKernel(
@@ -389,7 +375,7 @@ SsspRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
 {
     if (msgs.empty())
         return;
-    panic_if(!frag, "acceptRemote on a non-sharded SSSP runner");
+    panic_if(!frag, "acceptRemote on an unpartitioned SSSP runner");
 
     std::size_t t = 0;
     for (const BoundaryMsg &msg : msgs) {
@@ -430,38 +416,9 @@ SsspRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
 void
 SsspRunner::collect(std::vector<std::uint32_t> &globalDist) const
 {
-    panic_if(!frag, "collect on a non-sharded SSSP runner");
-    for (NodeId l = 0; l < frag->numInner; ++l)
-        globalDist[frag->toGlobal[l]] = dist[l];
-}
-
-SsspResult
-SsspRunner::run(const AlgOptions &opt)
-{
-    SsspResult res;
-    beginRun(opt);
-
-    unsigned iters = 0;
-    while ((nf_n > 0 || far_n > 0) && iters < opt.maxIterations) {
-        // ------- Near phase: drain the node frontier -------------
-        while (nf_n > 0 && iters < opt.maxIterations) {
-            ++iters;
-            ++res.metrics.iterations;
-            nearIteration(res.metrics, nullptr);
-        }
-
-        if (far_n == 0 && nf_n == 0)
-            break;
-
-        // ------- Far phase: raise the threshold and re-split -----
-        advanceThreshold();
-        if (far_n == 0)
-            continue;
-        farPhase(res.metrics);
-    }
-
-    res.dist.assign(dist.host().begin(), dist.host().end());
-    return res;
+    const NodeId owned = frag ? frag->numInner : g.numNodes();
+    for (NodeId l = 0; l < owned; ++l)
+        globalDist[frag ? frag->toGlobal[l] : l] = dist[l];
 }
 
 } // namespace scusim::alg

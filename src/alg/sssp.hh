@@ -5,11 +5,11 @@
  * SCU offloads of Sections 3.4 (basic) and 4.5 (enhanced: best-cost
  * filtering plus grouping).
  *
- * Like BFS, the runner is written on top of a step API
- * (beginRun()/nearIteration()/advanceThreshold()/farPhase()) so the
- * sharded driver can advance one fragment per device in lockstep,
- * exchanging boundary relaxations between near iterations; run()
- * composes the same steps into the original single-device loop.
+ * Like BFS, the runner owns one device's share and exposes it as
+ * steps (beginRun()/nearIteration()/advanceThreshold()/farPhase()).
+ * The near/far loop lives once, in runSssp() (alg/driver.cc), which
+ * advances one runner per device in lockstep and exchanges boundary
+ * relaxations between near iterations.
  */
 
 #ifndef SCUSIM_ALG_SSSP_HH
@@ -38,25 +38,22 @@ struct SsspResult
 class SsspRunner
 {
   public:
-    SsspRunner(harness::System &sys, const graph::CsrGraph &g);
-
     /**
-     * Fragment-aware runner for device @p dev of a sharded system.
-     * Ghost vertices keep a best-cost cache: a relaxation that
-     * improves a ghost is forwarded to its owner as a boundary
-     * message instead of entering the local frontier. In sharded
-     * runs the driver must pre-compute a global ssspDelta (the
-     * per-fragment average weight would diverge between devices).
+     * Runner for device @p dev. With a null @p part it works on the
+     * whole graph @p g; otherwise @p g is @p part's fragment CSR for
+     * that device. Ghost vertices keep a best-cost cache: a
+     * relaxation that improves a ghost is forwarded to its owner as
+     * a boundary message instead of entering the local frontier.
      */
     SsspRunner(harness::System &sys, DeviceId dev,
                const graph::CsrGraph &g,
                const graph::GraphPartition *part);
 
-    SsspResult run(const AlgOptions &opt);
-
-    // --- Step API for the sharded driver -----------------------
-
-    /** Reset state, pick delta and seed the source (if owned). */
+    /**
+     * Reset state and seed the source (if owned). @p opt.ssspDelta
+     * must be resolved (non-zero): the driver fixes it once for all
+     * devices.
+     */
     void beginRun(const AlgOptions &opt);
 
     bool nearEmpty() const { return nf_n == 0; }
@@ -66,7 +63,7 @@ class SsspRunner
      * One near-phase expand/contract/compact iteration. Improving
      * relaxations that land on ghost vertices are reported into
      * @p outbox (global id + tentative cost) instead of the local
-     * frontier; pass nullptr outside sharded multi-device runs.
+     * frontier; pass nullptr outside multi-device runs.
      */
     void nearIteration(AlgMetrics &m,
                        std::vector<BoundaryMsg> *outbox);
@@ -80,7 +77,7 @@ class SsspRunner
     /** Inject remote relaxations against the current threshold. */
     void acceptRemote(std::span<const BoundaryMsg> msgs);
 
-    /** Scatter this fragment's inner distances into @p globalDist. */
+    /** Scatter this runner's owned distances into @p globalDist. */
     void collect(std::vector<std::uint32_t> &globalDist) const;
 
   private:
@@ -126,7 +123,7 @@ class SsspRunner
     Elems lookupTable;   ///< one entry per node (GPU dedup)
     Flags nearFlags;
     Flags farFlags;
-    Elems inbox; ///< staging for remote injections (sharded only)
+    Elems inbox; ///< staging for remote injections (multi-device only)
 
     unsigned farCur = 0; ///< which far pile is current
 

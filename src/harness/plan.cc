@@ -71,13 +71,10 @@ runKey(const RunConfig &cfg, const graph::CsrGraph *graph,
            << cfg.guards.stallWindow << ","
            << keyNum(cfg.guards.wallSeconds);
     }
-    // Sharding changes the execution path (and, with more than one
-    // device, the system itself). Single-device non-sharded runs keep
-    // their historical keys.
+    // More than one device changes the system itself; single-device
+    // runs keep their historical keys.
     if (cfg.deviceCount > 1)
         os << "|dev=" << cfg.deviceCount;
-    else if (cfg.sharded)
-        os << "|sharded";
     // A content fingerprint is a durable graph identity — the same
     // bytes key the same run in every process, so these runs are
     // disk-cacheable. A bare pointer only means "some ad-hoc graph in

@@ -285,8 +285,8 @@ writeRunsJson(std::ostream &os, const PlanResults &res)
                << "\":" << f.get(r);
             first = false;
         }
-        // Per-device slices only exist for sharded runs; the array is
-        // omitted (not empty) elsewhere so single-device JSON stays
+        // A single-device run's one slice equals its aggregate; the
+        // array is omitted for it so single-device JSON stays
         // exactly what it always was.
         if (r.result.deviceCount > 1) {
             os << ",\"perDevice\":[";

@@ -39,7 +39,7 @@ namespace scusim::harness
  * Bump whenever the serialized RunRecord layout changes; old cache
  * files are then rejected (miss) instead of misparsed.
  */
-constexpr unsigned runCacheSchemaVersion = 4;
+constexpr unsigned runCacheSchemaVersion = 5;
 
 /**
  * The cache directory from SCUSIM_CACHE_DIR, or "" when unset /

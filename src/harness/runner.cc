@@ -8,11 +8,8 @@
 
 #include <fstream>
 
-#include "alg/bfs.hh"
-#include "alg/pagerank.hh"
+#include "alg/driver.hh"
 #include "alg/serial.hh"
-#include "alg/sharded.hh"
-#include "alg/sssp.hh"
 #include "common/logging.hh"
 #include "common/sim_error.hh"
 #include "graph/datasets.hh"
@@ -192,7 +189,6 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
     sc.deviceCount = cfg.deviceCount ? cfg.deviceCount : 1;
     System sys(sc);
     const unsigned numDev = sys.deviceCount();
-    const bool sharded = cfg.sharded || numDev > 1;
 
     // Observability. The sink lives in this run's Simulation; the
     // trace-driven timeseries live in a standalone group that never
@@ -274,45 +270,30 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
 
     RunResult r;
     r.deviceCount = numDev;
+    // One device runs on the parent graph itself; more than one each
+    // run a fragment of its edge-cut partition.
     std::unique_ptr<graph::GraphPartition> part;
-    std::vector<alg::AlgMetrics> perDev;
-    if (sharded) {
+    if (numDev > 1) {
         part = std::make_unique<graph::GraphPartition>(
             graph::GraphPartition::build(g, numDev));
     }
+    std::vector<alg::AlgMetrics> perDev;
     switch (cfg.primitive) {
       case Primitive::Bfs: {
-        alg::BfsResult out;
-        if (sharded) {
-            out = alg::shardedBfs(sys, *part, opt, &perDev);
-        } else {
-            alg::BfsRunner bfs(sys, g);
-            out = bfs.run(opt);
-        }
+        const auto out = alg::runBfs(sys, g, part.get(), opt, &perDev);
         r.algMetrics = out.metrics;
         r.validated = validateBfs(g, opt.source, out.dist);
         break;
       }
       case Primitive::Sssp: {
-        alg::SsspResult out;
-        if (sharded) {
-            out = alg::shardedSssp(sys, g, *part, opt, &perDev);
-        } else {
-            alg::SsspRunner sssp(sys, g);
-            out = sssp.run(opt);
-        }
+        const auto out =
+            alg::runSssp(sys, g, part.get(), opt, &perDev);
         r.algMetrics = out.metrics;
         r.validated = validateSssp(g, opt.source, out.dist);
         break;
       }
       case Primitive::Pr: {
-        alg::PrResult out;
-        if (sharded) {
-            out = alg::shardedPr(sys, *part, opt, &perDev);
-        } else {
-            alg::PageRankRunner pr(sys, g);
-            out = pr.run(opt);
-        }
+        const auto out = alg::runPr(sys, g, part.get(), opt, &perDev);
         r.algMetrics = out.metrics;
         r.validated = validatePr(g, opt, out.ranks);
         break;
@@ -327,64 +308,42 @@ runPrimitive(const RunConfig &cfg, const graph::CsrGraph &g)
     r.energy = sys.energyModel().breakdown(
         gpu_act, scu_act, r.seconds, sys.hasScu());
 
-    if (numDev == 1) {
-        const auto &gt = sys.gpuDevice().totals();
-        r.gpuCompactionCycles = gt.compactionCycles;
-        r.gpuProcessingCycles = gt.processingCycles;
-        r.gpuThreadInstrs = static_cast<double>(
-            gt.compaction.threadInstrs + gt.processing.threadInstrs);
-        r.coalescingEfficiency = gt.processing.coalescingEfficiency();
-        r.txnsPerMemInstr = gt.processing.txnsPerMemInstr();
-        r.bwUtilization =
-            sys.memory().bandwidthUtilization(r.totalCycles);
-        r.l2HitRate = sys.memory().l2().hitRate();
-        r.dramLines = sys.memory().dram().numReads() +
-                      sys.memory().dram().numWrites();
-        if (sys.hasScu())
-            r.scuBusyCycles = sys.scuDevice().totals().busyCycles;
-    } else {
-        // Aggregate counters; ratios are recomputed from summed
-        // numerators/denominators, and bandwidth utilization is the
-        // mean over the N (identical-peak) memory systems.
-        gpu::KernelStats comp, proc;
-        double bw = 0, l2_weighted = 0, l2_accesses = 0;
-        for (DeviceId d = 0; d < numDev; ++d) {
-            const auto &gt = sys.gpuDevice(d).totals();
-            comp.accumulate(gt.compaction);
-            proc.accumulate(gt.processing);
-            r.gpuCompactionCycles += gt.compactionCycles;
-            r.gpuProcessingCycles += gt.processingCycles;
-            bw += sys.memory(d).bandwidthUtilization(r.totalCycles);
-            const auto &l2 = sys.memory(d).l2();
-            const auto acc =
-                static_cast<double>(l2.numAccesses());
-            l2_accesses += acc;
-            l2_weighted += l2.hitRate() * acc;
-            r.dramLines += sys.memory(d).dram().numReads() +
-                           sys.memory(d).dram().numWrites();
-            if (sys.hasScu())
-                r.scuBusyCycles += sys.scuDevice(d).totals().busyCycles;
-        }
-        r.gpuThreadInstrs = static_cast<double>(
-            comp.threadInstrs + proc.threadInstrs);
-        r.coalescingEfficiency = proc.coalescingEfficiency();
-        r.txnsPerMemInstr = proc.txnsPerMemInstr();
-        r.bwUtilization = bw / numDev;
-        r.l2HitRate = l2_accesses ? l2_weighted / l2_accesses : 0;
-    }
+    // Aggregate counters; ratios are recomputed from summed
+    // numerators/denominators (so one device reads exactly its own
+    // ratios), and bandwidth utilization is the mean over the N
+    // (identical-peak) memory systems.
+    gpu::KernelStats comp, proc;
+    double bw = 0, l2_hits = 0, l2_accesses = 0;
+    r.devices.resize(numDev);
+    for (DeviceId d = 0; d < numDev; ++d) {
+        const auto &gt = sys.gpuDevice(d).totals();
+        comp.accumulate(gt.compaction);
+        proc.accumulate(gt.processing);
+        r.gpuCompactionCycles += gt.compactionCycles;
+        r.gpuProcessingCycles += gt.processingCycles;
+        bw += sys.memory(d).bandwidthUtilization(r.totalCycles);
+        l2_hits += sys.memory(d).l2().numHits();
+        l2_accesses += sys.memory(d).l2().numAccesses();
+        r.dramLines += sys.memory(d).dram().numReads() +
+                       sys.memory(d).dram().numWrites();
 
-    if (sharded) {
-        r.devices.resize(numDev);
-        for (DeviceId d = 0; d < numDev; ++d) {
-            DeviceMetrics &dm = r.devices[d];
-            dm.gpuEdgeWork = perDev[d].gpuEdgeWork;
-            dm.rawExpanded = perDev[d].rawExpanded;
-            dm.scuFiltered = perDev[d].scuFiltered;
-            dm.iterations = perDev[d].iterations;
-            if (sys.hasScu())
-                dm.scuBusyCycles = sys.scuDevice(d).totals().busyCycles;
+        DeviceMetrics &dm = r.devices[d];
+        dm.gpuEdgeWork = perDev[d].gpuEdgeWork;
+        dm.rawExpanded = perDev[d].rawExpanded;
+        dm.scuFiltered = perDev[d].scuFiltered;
+        dm.iterations = perDev[d].iterations;
+        if (sys.hasScu()) {
+            dm.scuBusyCycles = sys.scuDevice(d).totals().busyCycles;
+            r.scuBusyCycles += dm.scuBusyCycles;
         }
     }
+    r.gpuThreadInstrs =
+        static_cast<double>(comp.threadInstrs + proc.threadInstrs);
+    r.coalescingEfficiency = proc.coalescingEfficiency();
+    r.txnsPerMemInstr = proc.txnsPerMemInstr();
+    r.bwUtilization = bw / numDev;
+    r.l2HitRate = l2_accesses ? l2_hits / l2_accesses : 0;
+
     if (sys.hasInterconnect()) {
         r.icnMessages = sys.interconnect().messageCount();
         r.icnBytes = sys.interconnect().byteCount();

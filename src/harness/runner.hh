@@ -86,14 +86,9 @@ struct RunConfig
      * modeled interconnect.
      */
     unsigned deviceCount = 1;
-    /**
-     * Force the sharded driver even with deviceCount == 1 (the
-     * 1-fragment equivalence gate; byte-identical to the plain path).
-     */
-    bool sharded = false;
 };
 
-/** Per-device slice of a sharded run's work and SCU activity. */
+/** Per-device slice of a run's work and SCU activity. */
 struct DeviceMetrics
 {
     std::uint64_t gpuEdgeWork = 0;
@@ -135,7 +130,7 @@ struct RunResult
     bool validated = false;
 
     unsigned deviceCount = 1;
-    /** Per-device slices; filled only for sharded runs. */
+    /** Per-device slices, one per device. */
     std::vector<DeviceMetrics> devices;
     std::uint64_t icnMessages = 0; ///< boundary messages moved
     std::uint64_t icnBytes = 0;    ///< interconnect payload bytes

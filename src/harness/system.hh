@@ -11,8 +11,8 @@
  * inter-device Interconnect. With deviceCount == 1 (the default) the
  * layout — component parents, stat names, trace channel names,
  * address space contents — is exactly the historical single-device
- * one, which the equivalence gates in tests/sharded_test.cc pin down
- * byte-for-byte.
+ * one, which the dev1 golden digests of tests/determinism_test.cc
+ * pin down byte-for-byte.
  */
 
 #ifndef SCUSIM_HARNESS_SYSTEM_HH

@@ -11,10 +11,8 @@
 #include <cmath>
 #include <tuple>
 
-#include "alg/bfs.hh"
-#include "alg/pagerank.hh"
+#include "alg/driver.hh"
 #include "alg/serial.hh"
-#include "alg/sssp.hh"
 #include "graph/datasets.hh"
 #include "graph/generators.hh"
 #include "harness/runner.hh"
@@ -240,11 +238,10 @@ TEST(AlgBehaviour, SourceSelectionRespected)
     const auto &g = harness::cachedDataset("cond", 0.01, 1);
     harness::SystemConfig sc = harness::SystemConfig::tx1(false);
     harness::System sys(sc);
-    BfsRunner bfs(sys, g);
     AlgOptions opt;
     opt.mode = ScuMode::GpuOnly;
     opt.source = 5;
-    auto out = bfs.run(opt);
+    auto out = runBfs(sys, g, nullptr, opt);
     EXPECT_EQ(out.dist[5], 0u);
     EXPECT_EQ(out.dist, serialBfs(g, 5));
 }
@@ -259,11 +256,10 @@ TEST(AlgBehaviour, BfsOnDisconnectedGraph)
 
     harness::SystemConfig sc = harness::SystemConfig::tx1(true);
     harness::System sys(sc);
-    BfsRunner bfs(sys, g);
     AlgOptions opt;
     opt.mode = ScuMode::ScuEnhanced;
     opt.source = 0;
-    auto out = bfs.run(opt);
+    auto out = runBfs(sys, g, nullptr, opt);
     EXPECT_EQ(out.dist[2], 2u);
     EXPECT_EQ(out.dist[3], infDist);
 }
@@ -275,12 +271,11 @@ TEST(AlgBehaviour, SsspDeltaSweepStaysCorrect)
     for (std::uint32_t delta : {1u, 8u, 64u, 100000u}) {
         harness::SystemConfig sc = harness::SystemConfig::tx1(true);
         harness::System sys(sc);
-        SsspRunner sssp(sys, g);
         AlgOptions opt;
         opt.mode = ScuMode::ScuEnhanced;
         opt.source = 1;
         opt.ssspDelta = delta;
-        auto out = sssp.run(opt);
+        auto out = runSssp(sys, g, nullptr, opt);
         EXPECT_EQ(out.dist, want) << "delta=" << delta;
     }
 }
@@ -291,12 +286,11 @@ TEST(AlgBehaviour, PrStopsOnConvergence)
     auto g = graph::CsrGraph::fromEdgeList(graph::grid2d(8, 8));
     harness::SystemConfig sc = harness::SystemConfig::tx1(false);
     harness::System sys(sc);
-    PageRankRunner pr(sys, g);
     AlgOptions opt;
     opt.mode = ScuMode::GpuOnly;
     opt.prMaxIterations = 100;
     opt.prEpsilon = 1e-3;
-    auto out = pr.run(opt);
+    auto out = runPr(sys, g, nullptr, opt);
     EXPECT_TRUE(out.converged);
     EXPECT_LT(out.metrics.iterations, 100u);
 }

@@ -174,29 +174,36 @@ TEST_P(ScuOpProperty, DataCompactionMatchesOracle)
 {
     Rng rng(GetParam());
     Rig r;
-    const std::size_t n = 200 + rng.below(800);
-    auto vals = randomVec(rng, n, 1 << 20);
-    auto mask = randomMask(rng, n, 0.4);
+    for (const OpCase &c : oracleCases(rng)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << c.n
+                     << " mask=" << static_cast<int>(c.mask));
+        auto vals = randomVec(rng, c.n, 1 << 20);
+        auto keep = maskFor(rng, c);
+        Scu::Elems in(r.as, "in", c.n);
+        Scu::Flags m(r.as, "m", c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+            in[i] = vals[i];
+            m[i] = keep[i];
+        }
 
-    Scu::Elems in(r.as, "in", n);
-    Scu::Flags m(r.as, "m", n);
-    Scu::Elems out(r.as, "out", n);
-    for (std::size_t i = 0; i < n; ++i) {
-        in[i] = vals[i];
-        m[i] = mask[i];
+        // Oracle: scan the keep flags, then scatter every kept value
+        // to its scanned slot.
+        const auto off = exclusiveScan(
+            std::vector<std::uint32_t>(keep.begin(), keep.end()));
+        std::vector<std::uint32_t> want(off.back());
+        for (std::size_t i = 0; i < c.n; ++i) {
+            if (keep[i])
+                want[off[i]] = vals[i];
+        }
+
+        Scu::Elems out = sentinelOut(r.as, want.size() + kSlack);
+        std::size_t got_n = 0;
+        r.scu->dataCompaction(
+            in, c.n, c.mask == MaskKind::Null ? nullptr : &m, out,
+            got_n);
+        expectCompacted(out, got_n, want);
     }
-
-    std::size_t got_n = 0;
-    r.scu->dataCompaction(in, n, &m, out, got_n);
-
-    std::vector<std::uint32_t> want;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (mask[i])
-            want.push_back(vals[i]);
-    }
-    ASSERT_EQ(got_n, want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(out[i], want[i]);
 }
 
 TEST_P(ScuOpProperty, AccessExpansionMatchesOracle)
@@ -204,39 +211,50 @@ TEST_P(ScuOpProperty, AccessExpansionMatchesOracle)
     Rng rng(GetParam() * 3 + 1);
     Rig r;
     const std::size_t data_n = 500 + rng.below(500);
-    const std::size_t runs = 50 + rng.below(100);
     auto data = randomVec(rng, data_n, 1 << 30);
-
-    std::vector<std::uint32_t> idx(runs), cnt(runs);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < runs; ++i) {
-        cnt[i] = static_cast<std::uint32_t>(rng.below(9));
-        idx[i] = static_cast<std::uint32_t>(
-            rng.below(data_n - cnt[i] + 1));
-        total += cnt[i];
-    }
-
-    Scu::Elems d(r.as, "d", data_n), ix(r.as, "ix", runs),
-        c(r.as, "c", runs), out(r.as, "out", total + 1);
+    Scu::Elems d(r.as, "d", data_n);
     for (std::size_t i = 0; i < data_n; ++i)
         d[i] = data[i];
-    for (std::size_t i = 0; i < runs; ++i) {
-        ix[i] = idx[i];
-        c[i] = cnt[i];
-    }
 
-    std::size_t got_n = 0;
-    r.scu->accessExpansionCompaction(d, ix, c, runs, nullptr, out,
-                                     got_n);
+    for (const OpCase &c : oracleCases(rng)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << c.n
+                     << " mask=" << static_cast<int>(c.mask));
+        // One run of 0..8 consecutive data elements per input.
+        std::vector<std::uint32_t> idx(c.n), cnt(c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+            cnt[i] = static_cast<std::uint32_t>(rng.below(9));
+            idx[i] = static_cast<std::uint32_t>(
+                rng.below(data_n - cnt[i] + 1));
+        }
+        auto keep = maskFor(rng, c);
+        Scu::Elems ix(r.as, "ix", c.n), count(r.as, "count", c.n);
+        Scu::Flags m(r.as, "m", c.n);
+        for (std::size_t i = 0; i < c.n; ++i) {
+            ix[i] = idx[i];
+            count[i] = cnt[i];
+            m[i] = keep[i];
+        }
 
-    std::vector<std::uint32_t> want;
-    for (std::size_t i = 0; i < runs; ++i) {
-        for (std::uint32_t j = 0; j < cnt[i]; ++j)
-            want.push_back(data[idx[i] + j]);
+        // Oracle: scan the kept run lengths, then scatter each kept
+        // run data[idx[i], idx[i] + cnt[i]) from its scanned slot.
+        std::vector<std::uint32_t> kept(c.n);
+        for (std::size_t i = 0; i < c.n; ++i)
+            kept[i] = keep[i] ? cnt[i] : 0;
+        const auto off = exclusiveScan(kept);
+        std::vector<std::uint32_t> want(off.back());
+        for (std::size_t i = 0; i < c.n; ++i) {
+            for (std::uint32_t j = 0; j < kept[i]; ++j)
+                want[off[i] + j] = data[idx[i] + j];
+        }
+
+        Scu::Elems out = sentinelOut(r.as, want.size() + kSlack);
+        std::size_t got_n = 0;
+        r.scu->accessExpansionCompaction(
+            d, ix, count, c.n,
+            c.mask == MaskKind::Null ? nullptr : &m, out, got_n);
+        expectCompacted(out, got_n, want);
     }
-    ASSERT_EQ(got_n, want.size());
-    for (std::size_t i = 0; i < want.size(); ++i)
-        EXPECT_EQ(out[i], want[i]);
 }
 
 TEST_P(ScuOpProperty, FilterNeverDropsFirstSighting)

@@ -106,29 +106,59 @@ sampleRecord()
     return rec;
 }
 
+/** sampleRecord() as a single-device run stores it: one device
+ *  slice, equal to the aggregate. */
+RunRecord
+oneSliceRecord()
+{
+    RunRecord rec = sampleRecord();
+    DeviceMetrics dm;
+    dm.gpuEdgeWork = rec.result.algMetrics.gpuEdgeWork;
+    dm.rawExpanded = rec.result.algMetrics.rawExpanded;
+    dm.scuFiltered = rec.result.algMetrics.scuFiltered;
+    dm.iterations = rec.result.algMetrics.iterations;
+    dm.scuBusyCycles = rec.result.scuBusyCycles;
+    rec.result.devices = {dm};
+    return rec;
+}
+
 } // namespace
 
 TEST(RunCacheCodec, EncodeDecodeRoundTripsEveryField)
 {
-    const RunRecord rec = sampleRecord();
-    RunRecord back;
-    back.run.key = rec.run.key;
-    ASSERT_TRUE(decodeRunRecord(encodeRunRecord(rec), rec.run.key,
-                                back));
-    EXPECT_EQ(back.ok, rec.ok);
-    EXPECT_EQ(back.attempts, rec.attempts);
-    EXPECT_EQ(back.failure, rec.failure);
-    EXPECT_EQ(back.error, rec.error);
-    EXPECT_EQ(back.result.totalCycles, rec.result.totalCycles);
-    // Bit-exact doubles, including ones with no short decimal form.
-    EXPECT_EQ(back.result.seconds, rec.result.seconds);
-    EXPECT_EQ(back.result.bwUtilization, rec.result.bwUtilization);
-    EXPECT_EQ(back.result.l2HitRate, rec.result.l2HitRate);
-    EXPECT_EQ(back.result.energy.gpuDynamicJ,
-              rec.result.energy.gpuDynamicJ);
-    EXPECT_EQ(back.result.algMetrics.scuFiltered,
-              rec.result.algMetrics.scuFiltered);
-    EXPECT_EQ(back.result.validated, rec.result.validated);
+    for (const RunRecord &rec : {sampleRecord(), oneSliceRecord()}) {
+        SCOPED_TRACE(::testing::Message()
+                     << rec.result.devices.size() << " device slice(s)");
+        RunRecord back;
+        back.run.key = rec.run.key;
+        ASSERT_TRUE(decodeRunRecord(encodeRunRecord(rec), rec.run.key,
+                                    back));
+        EXPECT_EQ(back.ok, rec.ok);
+        EXPECT_EQ(back.attempts, rec.attempts);
+        EXPECT_EQ(back.failure, rec.failure);
+        EXPECT_EQ(back.error, rec.error);
+        EXPECT_EQ(back.result.totalCycles, rec.result.totalCycles);
+        // Bit-exact doubles, including ones with no short decimal
+        // form.
+        EXPECT_EQ(back.result.seconds, rec.result.seconds);
+        EXPECT_EQ(back.result.bwUtilization, rec.result.bwUtilization);
+        EXPECT_EQ(back.result.l2HitRate, rec.result.l2HitRate);
+        EXPECT_EQ(back.result.energy.gpuDynamicJ,
+                  rec.result.energy.gpuDynamicJ);
+        EXPECT_EQ(back.result.algMetrics.scuFiltered,
+                  rec.result.algMetrics.scuFiltered);
+        EXPECT_EQ(back.result.validated, rec.result.validated);
+        ASSERT_EQ(back.result.devices.size(), rec.result.devices.size());
+        for (std::size_t d = 0; d < rec.result.devices.size(); ++d) {
+            const DeviceMetrics &got = back.result.devices[d];
+            const DeviceMetrics &want = rec.result.devices[d];
+            EXPECT_EQ(got.gpuEdgeWork, want.gpuEdgeWork);
+            EXPECT_EQ(got.rawExpanded, want.rawExpanded);
+            EXPECT_EQ(got.scuFiltered, want.scuFiltered);
+            EXPECT_EQ(got.iterations, want.iterations);
+            EXPECT_EQ(got.scuBusyCycles, want.scuBusyCycles);
+        }
+    }
 }
 
 TEST(RunCacheCodec, FailedRecordRoundTripsDiagnostics)

@@ -2,12 +2,10 @@
  * @file
  * Sharded-execution gates.
  *
- * 1-fragment equivalence: forcing the sharded driver with
- * deviceCount == 1 must produce a byte-identical full statistics dump
- * to the plain path — the partitioner copies the parent CSR verbatim,
- * the drivers run the plain runners' loop, and no ghost or exchange
- * code executes. This pins the refactor down: multi-device support
- * may not perturb single-device behavior at all.
+ * One device: the default run goes through the same drivers as a
+ * sharded one and reports one device slice equal to its aggregate,
+ * with no interconnect traffic. (Its byte-identity is pinned by the
+ * dev1 golden digests of the determinism gate.)
  *
  * Multi-device: 2- and 4-device runs must still validate against the
  * serial references on both systems, move boundary traffic over the
@@ -63,21 +61,12 @@ class ShardedGate
 {
 };
 
-TEST_P(ShardedGate, OneFragmentMatchesThePlainPathByteForByte)
+TEST_P(ShardedGate, OneDeviceRunReportsOneSliceAndNoTraffic)
 {
     const auto [prim, system] = GetParam();
-    RunConfig cfg = baseConfig(prim, system);
-
-    const std::string plain = statsDumpFor(cfg);
-
-    cfg.sharded = true;
-    cfg.deviceCount = 1;
     RunResult r;
-    const std::string sharded = statsDumpFor(cfg, &r);
+    statsDumpFor(baseConfig(prim, system), &r);
 
-    ASSERT_EQ(plain.size(), sharded.size());
-    EXPECT_EQ(plain, sharded)
-        << "sharded deviceCount=1 dump diverged from the plain path";
     EXPECT_EQ(r.deviceCount, 1u);
     ASSERT_EQ(r.devices.size(), 1u);
     EXPECT_EQ(r.icnMessages, 0u);
