@@ -81,9 +81,6 @@ StreamingMultiprocessor::beginKernel(WarpSource source,
     kstats = sink;
     sourceDry = false;
     refill();
-    // New work arrived outside tick(): re-arm the event-driven
-    // scheduler so the launch is picked up without a full rescan.
-    notifyWake();
 }
 
 void

@@ -54,7 +54,8 @@ Dram::Dram(const DramParams &params, const sim::ClockDomain &clock,
       busCyclesPerLine(std::max<Tick>(1,
           clock.cyclesForBytes(p.lineBytes,
                                p.peakBytesPerSec / p.channels))),
-      chans(p.channels),
+      banks(static_cast<std::size_t>(p.channels) * p.banksPerChannel),
+      busFree(p.channels),
       grp("dram", parent),
       reads(&grp, "reads", "line reads serviced"),
       writes(&grp, "writes", "line writes serviced"),
@@ -64,8 +65,6 @@ Dram::Dram(const DramParams &params, const sim::ClockDomain &clock,
                     "aggregate channel data-bus busy cycles"),
       movedBytes(&grp, "bytes_moved", "bytes moved on the pins")
 {
-    for (auto &c : chans)
-        c.banks.resize(p.banksPerChannel);
 }
 
 void
@@ -96,8 +95,9 @@ Dram::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     unsigned ci = 0, bi = 0;
     std::uint64_t row = 0;
     map(addr, ci, bi, row);
-    Channel &ch = chans[ci];
-    Bank &bk = ch.banks[bi];
+    Tick &bus = busFree[ci];
+    Bank &bk = banks[static_cast<std::size_t>(ci) * p.banksPerChannel +
+                     bi];
 
     // An injected refresh storm parks the bank and closes its row —
     // the access below then pays a full precharge/activate on top of
@@ -120,8 +120,8 @@ Dram::access(Tick issue, Addr addr, AccessKind kind, unsigned bytes)
     const Tick access_lat = row_hit ? tCas : (tRp + tRcd + tCas);
     const Tick bank_busy =
         row_hit ? bus_cycles : (tRp + tRcd + bus_cycles);
-    Tick data_start = std::max(ready + access_lat, ch.busFree);
-    ch.busFree = data_start + bus_cycles;
+    Tick data_start = std::max(ready + access_lat, bus);
+    bus = data_start + bus_cycles;
     bk.readyAt = ready + bank_busy;
     bk.openRow = row;
 

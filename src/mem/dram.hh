@@ -91,12 +91,6 @@ class Dram : public MemLevel
         Tick readyAt = 0;
     };
 
-    struct Channel
-    {
-        Tick busFree = 0;
-        std::vector<Bank> banks;
-    };
-
     /** Decompose an address into channel/bank/row coordinates. */
     void map(Addr addr, unsigned &channel, unsigned &bank,
              std::uint64_t &row) const;
@@ -105,7 +99,10 @@ class Dram : public MemLevel
     FixedDivisor lineDiv, chanDiv, rowDiv, bankDiv;
     Tick tCas, tRcd, tRp, tIo;
     Tick busCyclesPerLine;
-    std::vector<Channel> chans;
+    /** Every bank, indexed channel * banksPerChannel + bank. */
+    std::vector<Bank> banks;
+    /** Tick each channel's data bus is next free. */
+    std::vector<Tick> busFree;
 
     stats::StatGroup grp;
     stats::Scalar reads, writes, rowHits, rowMisses;

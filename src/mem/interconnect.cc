@@ -77,7 +77,6 @@ Interconnect::send(const IcnMessage &m, Tick now)
                      "msg d" + std::to_string(m.src) + "->d" +
                          std::to_string(m.dst),
                      now, arrive, m.bytes);
-    notifyWake();
 }
 
 std::vector<IcnMessage>

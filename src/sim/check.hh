@@ -6,12 +6,11 @@
  * otherwise, so Release timing runs pay nothing.
  *
  * The checks encode contracts that, when silently violated, corrupt
- * results rather than crash: events scheduled into the past fire at
- * the wrong tick, a memory completion before its issue travels
- * backwards in time through every downstream latency computation,
- * a ClockedObject ticked non-monotonically is usually a component
- * shared between two Simulations (a determinism bug under the
- * parallel executor), and an overfull SCU hash group corrupts the
+ * results rather than crash: a memory completion before its issue
+ * travels backwards in time through every downstream latency
+ * computation, a ClockedObject ticked non-monotonically is usually a
+ * component shared between two Simulations (a determinism bug under
+ * the parallel executor), and an overfull SCU hash group corrupts the
  * grouping traffic model. A violated check panics (aborts), which is
  * what the tier-1 death tests in tests/check_test.cc assert.
  */
@@ -58,21 +57,6 @@ namespace scusim::sim
 
 /** Whether the invariant layer is compiled in (for tests to skip). */
 constexpr bool checksEnabled = SCUSIM_CHECK_ENABLED != 0;
-
-/**
- * Event-queue contract: an event must never be scheduled before the
- * queue's service horizon (the latest tick already serviced) — it
- * would fire late, at a tick the rest of the system has moved past.
- */
-inline void
-checkScheduleTick(Tick when, Tick horizon)
-{
-    sim_check(when >= horizon,
-              "event scheduled into the past: when=%llu < "
-              "service horizon %llu",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(horizon));
-}
 
 /**
  * Memory-timing contract: an access completes at or after the tick

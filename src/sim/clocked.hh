@@ -6,7 +6,7 @@
 #ifndef SCUSIM_SIM_CLOCKED_HH
 #define SCUSIM_SIM_CLOCKED_HH
 
-#include <cstddef>
+#include <cstdint>
 
 #include "common/types.hh"
 #include "sim/check.hh"
@@ -21,13 +21,14 @@ class Simulation;
  * When every Clocked object is idle the simulation fast-forwards to
  * the earliest nextWakeTick() (e.g. an outstanding memory response).
  *
- * Scheduling contract: the owning Simulation caches each component's
- * earliest-busy tick (from busy()/nextWakeTick()) and re-derives it
- * after every tick() it delivers. State changes that arrive *outside*
- * tick() — new work handed to an idle component, e.g. a kernel launch
- * — must call notifyWake() so the event-driven scheduler re-arms;
- * run()/step() also re-derive every component's wake on entry, so a
- * missed notification between calls cannot strand a component.
+ * Scheduling contract: the owning Simulation caches nothing. On
+ * every serviced tick it asks each component busy(now), in
+ * registration order, and ticks the busy ones; when none is busy it
+ * jumps to the earliest nextWakeTick(). Work handed to a component
+ * outside tick() (a kernel launch, an interconnect send) is therefore
+ * seen at the next serviced tick without any notification. busy()
+ * runs for every component on every serviced tick and nextWakeTick()
+ * at every idle gap, so both must be cheap reads of state, not scans.
  */
 class Clocked
 {
@@ -73,16 +74,6 @@ class Clocked
      */
     std::uint64_t progressCount() const { return progressed; }
 
-    /**
-     * Tell the owning Simulation this component's busy state may
-     * have changed outside tick() (new work arrived while idle), so
-     * the event-driven scheduler must re-derive its wake tick. No-op
-     * when the component is not registered with a Simulation (unit
-     * tests) or under the polling scheduler. Defined in
-     * simulation.cc (needs the Simulation definition).
-     */
-    void notifyWake();
-
   protected:
     /** Record @p n units of forward progress (subclasses' tick()). */
     void noteProgress(std::uint64_t n = 1) { progressed += n; }
@@ -93,10 +84,11 @@ class Clocked
     /** Latest tick this component was advanced at (checked builds). */
     Tick lastTickSeen = 0;
     std::uint64_t progressed = 0;
-    /** Owning scheduler backpointer, set by Simulation::addClocked. */
+    /**
+     * The Simulation this component is registered with, set by
+     * Simulation::addClocked to catch a second registration.
+     */
     Simulation *schedOwner = nullptr;
-    /** This component's index in the owning Simulation. */
-    std::size_t schedIndex = 0;
 };
 
 } // namespace scusim::sim

@@ -1,7 +1,6 @@
 #include "sim/simulation.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -13,37 +12,7 @@
 namespace scusim::sim
 {
 
-namespace
-{
-
-/** Process-wide scheduler override: -1 unset, else SchedulerMode. */
-std::atomic<int> schedOverride{-1};
-
-} // namespace
-
-SchedulerMode
-Simulation::defaultScheduler()
-{
-    const int o = schedOverride.load(std::memory_order_relaxed);
-    if (o >= 0)
-        return static_cast<SchedulerMode>(o);
-    return SchedulerMode::EventDriven;
-}
-
-void
-Simulation::overrideDefaultScheduler(SchedulerMode m)
-{
-    schedOverride.store(static_cast<int>(m),
-                        std::memory_order_relaxed);
-}
-
-void
-Simulation::clearDefaultSchedulerOverride()
-{
-    schedOverride.store(-1, std::memory_order_relaxed);
-}
-
-Simulation::Simulation() : schedMode(defaultScheduler()) {}
+Simulation::Simulation() = default;
 Simulation::~Simulation() = default;
 
 void
@@ -52,19 +21,10 @@ Simulation::addClocked(Clocked *c, std::string name)
     panic_if(c->schedOwner && c->schedOwner != this,
              "Clocked object registered with two Simulations");
     c->schedOwner = this;
-    c->schedIndex = clockedList.size();
     if (name.empty())
         name = "clocked#" + std::to_string(clockedList.size());
     clockedList.push_back(c);
     clockedNames.push_back(std::move(name));
-    armed.push_back(tickNever);
-}
-
-void
-Clocked::notifyWake()
-{
-    if (schedOwner)
-        schedOwner->wakeComponent(schedIndex);
 }
 
 void
@@ -115,81 +75,23 @@ Simulation::diagnosticDump() const
             os << " [frozen by fault injector]";
         os << "\n";
     }
-    os << "events: pending=" << eq.size() << " next=";
-    if (eq.nextTick() == tickNever)
-        os << "never";
-    else
-        os << eq.nextTick();
-    os << " serviced=" << eq.serviced();
     if (injector)
-        os << "\n" << injector->summary();
+        os << injector->summary() << "\n";
     // On a hang the most recent trace events are the closest thing to
     // a flight recorder — attach the tail of every ring buffer.
     if (tracer)
-        os << "\n" << tracer->tailDump();
+        os << tracer->tailDump();
     return os.str();
 }
 
-void
-Simulation::arm(std::size_t idx, Tick t)
-{
-    armed[idx] = t;
-    if (t != tickNever)
-        wakeHeap.emplace(t, idx);
-}
-
-void
-Simulation::wakeComponent(std::size_t idx)
-{
-    if (schedMode == SchedulerMode::Polling)
-        return; // the polling scan re-asks everyone anyway
-    const Clocked *c = clockedList[idx];
-    const Tick t =
-        c->busy(currentTick) ? currentTick : c->nextWakeTick();
-    if (t != armed[idx])
-        arm(idx, t);
-}
-
-void
-Simulation::rearmAll()
-{
-    for (std::size_t i = 0; i < clockedList.size(); ++i)
-        wakeComponent(i);
-}
-
 Tick
-Simulation::nextInterestingTick()
+Simulation::nextInterestingTick() const
 {
-    if (schedMode == SchedulerMode::Polling) {
-        Tick t = eq.nextTick();
-        for (const auto *c : clockedList) {
-            if (c->busy(currentTick))
-                return currentTick;
-            t = std::min(t, c->nextWakeTick());
-        }
-        return t;
-    }
-    // Event-driven: the earliest armed component (dropping stale
-    // lazy-deleted heap entries) or event, whichever comes first. A
-    // component armed at or before "now" is busy now — same answer
-    // the polling scan would give.
-    Tick t = eq.nextTick();
-    for (std::size_t idx : nextDue) {
-        const Tick a = armed[idx];
-        if (a == tickNever)
-            continue; // superseded
-        if (a <= currentTick)
+    Tick t = tickNever;
+    for (const auto *c : clockedList) {
+        if (c->busy(currentTick))
             return currentTick;
-        t = std::min(t, a);
-    }
-    while (!wakeHeap.empty() &&
-           wakeHeap.top().first != armed[wakeHeap.top().second])
-        wakeHeap.pop();
-    if (!wakeHeap.empty()) {
-        const Tick wake = wakeHeap.top().first;
-        if (wake <= currentTick)
-            return currentTick;
-        t = std::min(t, wake);
+        t = std::min(t, c->nextWakeTick());
     }
     return t;
 }
@@ -197,7 +99,7 @@ Simulation::nextInterestingTick()
 std::uint64_t
 Simulation::progressStamp() const
 {
-    std::uint64_t stamp = eq.serviced();
+    std::uint64_t stamp = 0;
     for (const auto *c : clockedList)
         stamp += c->progressCount();
     return stamp;
@@ -206,79 +108,20 @@ Simulation::progressStamp() const
 void
 Simulation::stepOnce()
 {
-    eq.serviceUpTo(currentTick);
-    if (schedMode == SchedulerMode::Polling) {
-        for (std::size_t j = 0; j < clockedList.size(); ++j) {
-            Clocked *c = clockedList[j];
-            // A frozen component keeps claiming to be busy but is
-            // never ticked — exactly the hang mode the deadlock
-            // watchdog exists to catch.
-            if (injector &&
-                injector->frozen(static_cast<unsigned>(j),
-                                 currentTick))
-                continue;
-            if (c->busy(currentTick)) {
-                c->noteTick(currentTick);
-                c->tick(currentTick);
-            }
-        }
-        ++currentTick;
-        return;
-    }
-
-    // Event-driven: collect every component due at or before now
-    // (consuming its armed entry), then service them in registration
-    // order — the order the polling loop ticks them in, which matters
-    // because components share the analytic memory system within a
-    // tick.
-    readyScratch.clear();
-    // Components the previous tick re-armed straight for this one
-    // (the steady busy state) — consumed without a heap round trip.
-    for (std::size_t idx : nextDue) {
-        if (armed[idx] != tickNever && armed[idx] <= currentTick) {
-            armed[idx] = tickNever;
-            readyScratch.push_back(idx);
-        }
-    }
-    nextDue.clear();
-    while (!wakeHeap.empty() &&
-           wakeHeap.top().first <= currentTick) {
-        const auto [t, idx] = wakeHeap.top();
-        wakeHeap.pop();
-        if (armed[idx] != t)
-            continue; // superseded by a later arm
-        armed[idx] = tickNever;
-        readyScratch.push_back(idx);
-    }
-    // Registration order, as the polling loop ticks them. nextDue is
-    // appended in service order, so the scratch is almost always
-    // already sorted and the check is the common whole cost.
-    if (!std::is_sorted(readyScratch.begin(), readyScratch.end()))
-        std::sort(readyScratch.begin(), readyScratch.end());
-    for (std::size_t idx : readyScratch) {
-        Clocked *c = clockedList[idx];
+    // Registration order is part of the model: components share the
+    // analytic memory system within a tick, so an earlier component's
+    // accesses are visible to a later one's in the same cycle.
+    for (std::size_t j = 0; j < clockedList.size(); ++j) {
+        Clocked *c = clockedList[j];
+        // A frozen component keeps claiming to be busy but is never
+        // ticked — exactly the hang mode the deadlock watchdog exists
+        // to catch.
         if (injector &&
-            injector->frozen(static_cast<unsigned>(idx),
-                             currentTick)) {
-            // Still busy, never ticked: stay due every tick so the
-            // loop keeps spinning until the deadlock watchdog fires,
-            // exactly as under polling.
-            armed[idx] = currentTick + 1;
-            nextDue.push_back(idx);
+            injector->frozen(static_cast<unsigned>(j), currentTick))
             continue;
-        }
         if (c->busy(currentTick)) {
             c->noteTick(currentTick);
             c->tick(currentTick);
-        }
-        const Tick next = c->busy(currentTick + 1)
-                              ? currentTick + 1
-                              : c->nextWakeTick();
-        if (next == currentTick + 1) {
-            armed[idx] = next;
-            nextDue.push_back(idx);
-        } else {
-            arm(idx, next);
         }
     }
     ++currentTick;
@@ -287,7 +130,6 @@ Simulation::stepOnce()
 void
 Simulation::step(Tick n)
 {
-    rearmAll();
     for (Tick i = 0; i < n; ++i)
         stepOnce();
     if (!timeseries.empty())
@@ -302,10 +144,6 @@ Simulation::run(Tick max_ticks)
     std::uint64_t lastStamp = progressStamp();
     Tick stallStart = currentTick;
     std::uint64_t iters = 0;
-    // Components may have gained work since the last run()/step()
-    // without a notifyWake (e.g. constructed busy); re-derive every
-    // wake once so the heap starts accurate.
-    rearmAll();
     while (true) {
         if (injector)
             injector->checkPanic(currentTick);
@@ -315,7 +153,7 @@ Simulation::run(Tick max_ticks)
         if (next == tickNever)
             break;
         if (next > currentTick) {
-            // Idle gap: jump straight to the next event / wake-up.
+            // Idle gap: jump straight to the next wake-up.
             currentTick = next;
         }
         stepOnce();
@@ -370,7 +208,6 @@ Simulation::advanceTo(Tick t)
                       static_cast<unsigned long long>(t)),
             diagnosticDump());
     }
-    eq.serviceUpTo(t);
     currentTick = t;
     if (!timeseries.empty())
         sampleTimeseries(currentTick);

@@ -12,14 +12,11 @@
 #define SCUSIM_SIM_SIMULATION_HH
 
 #include <memory>
-#include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.hh"
 #include "sim/clocked.hh"
-#include "sim/event_queue.hh"
 
 namespace scusim::stats
 {
@@ -37,25 +34,14 @@ namespace scusim::sim
 
 class FaultInjector;
 
-/**
- * How the simulation loop finds work. EventDriven (the default) keeps
- * a min-heap of per-component wake ticks and services only the
- * components whose wake has arrived; Polling is the reference
- * implementation that re-asks every Clocked component for busy()/
- * nextWakeTick() on every serviced tick. Both produce byte-identical
- * stats — the scheduler-equivalence test enforces it — so Polling
- * exists only as that test's equivalence oracle.
- */
-enum class SchedulerMode { EventDriven, Polling };
-
 /** Progress-watchdog thresholds; 0 disables the respective check. */
 struct WatchdogConfig
 {
     /** Absolute tick ceiling of the run (runaway detection). */
     Tick tickBudget = 0;
     /**
-     * Ticks a busy simulation may spin without any component or
-     * event progress before it is declared deadlocked.
+     * Ticks a busy simulation may spin without any component
+     * progress before it is declared deadlocked.
      */
     Tick stallWindow = 0;
 };
@@ -77,7 +63,9 @@ class Supervisor
 
 /**
  * The simulation loop. Components register once; run() advances time
- * until every component is drained and no events remain.
+ * until every component is drained. Each serviced tick asks every
+ * component busy(now) and ticks the busy ones in registration order;
+ * when none is busy the clock jumps to the earliest nextWakeTick().
  */
 class Simulation
 {
@@ -89,28 +77,8 @@ class Simulation
 
     Tick now() const { return currentTick; }
 
-    /** This simulation's scheduler (fixed per instance at creation,
-     *  unless overridden with setScheduler before the first run). */
-    SchedulerMode scheduler() const { return schedMode; }
-
-    /** Force this instance's scheduler (tests). */
-    void setScheduler(SchedulerMode m) { schedMode = m; }
-
-    /**
-     * The mode new Simulations start in: the process-wide override
-     * (below) if set, else EventDriven.
-     */
-    static SchedulerMode defaultScheduler();
-
-    /** Process-wide scheduler override for new Simulations (the
-     *  equivalence oracle's tests); clear with the second form. */
-    static void overrideDefaultScheduler(SchedulerMode m);
-    static void clearDefaultSchedulerOverride();
-
     /** Register a cycle-stepped component (name for diagnostics). */
     void addClocked(Clocked *c, std::string name = "");
-
-    EventQueue &events() { return eq; }
 
     /** Arm the progress watchdog for this run. */
     void setWatchdog(const WatchdogConfig &w) { wd = w; }
@@ -144,14 +112,13 @@ class Simulation
 
     /**
      * Per-component diagnostic snapshot: busy state, next wake tick
-     * and progress counter per Clocked component, plus event-queue
-     * depth. Attached to watchdog failures.
+     * and progress counter per Clocked component. Attached to
+     * watchdog failures.
      */
     std::string diagnosticDump() const;
 
     /**
-     * Advance until all components are idle with no future wake-ups
-     * and the event queue is empty.
+     * Advance until all components are idle with no future wake-ups.
      * @param max_ticks safety bound when no watchdog tick budget is
      *                  armed; exceeding either is reported as a
      *                  runaway (FailureKind::Runaway).
@@ -159,24 +126,22 @@ class Simulation
      */
     Tick run(Tick max_ticks = static_cast<Tick>(1) << 40);
 
-    /** Advance exactly @p n ticks (events + clocked components). */
+    /** Advance exactly @p n ticks. */
     void step(Tick n = 1);
 
     /**
      * Jump the clock forward to @p t (no-op if in the past). Used by
      * components that compute their completion time analytically
      * (the SCU pipeline) while the cycle-stepped components are
-     * drained. Pending events up to @p t are serviced; the watchdog
-     * tick budget and the supervisor are consulted, so an
-     * analytically-runaway completion tick is caught too.
+     * drained. The watchdog tick budget and the supervisor are
+     * consulted, so an analytically-runaway completion tick is caught
+     * too.
      */
     void advanceTo(Tick t);
 
   private:
-    friend class Clocked; // notifyWake -> wakeComponent
-
     /** Earliest tick at which anything can happen, or tickNever. */
-    Tick nextInterestingTick();
+    Tick nextInterestingTick() const;
 
     /** Monotone counter of everything that counts as progress. */
     std::uint64_t progressStamp() const;
@@ -184,25 +149,10 @@ class Simulation
     /** Record every timeseries window boundary at or before @p now. */
     void sampleTimeseries(Tick now);
 
-    /**
-     * Set component @p idx's cached wake tick to @p t and push the
-     * matching heap entry (tickNever disarms). Entries superseded by
-     * a later arm stay in the heap and are dropped lazily when their
-     * tick no longer matches armed[idx].
-     */
-    void arm(std::size_t idx, Tick t);
-
-    /** Re-derive component @p idx's wake from busy()/nextWakeTick(). */
-    void wakeComponent(std::size_t idx);
-
-    /** Re-derive every component's wake tick (run()/step() entry). */
-    void rearmAll();
-
-    /** Service exactly one tick (events + due components). */
+    /** Service exactly one tick: tick every busy component. */
     void stepOnce();
 
     Tick currentTick = 0;
-    EventQueue eq;
     std::vector<Clocked *> clockedList;
     std::vector<std::string> clockedNames;
     WatchdogConfig wd;
@@ -211,24 +161,6 @@ class Simulation
     std::unique_ptr<trace::TraceSink> tracer;
     trace::TraceChannel *simChan = nullptr;
     std::vector<stats::Timeseries *> timeseries;
-
-    SchedulerMode schedMode;
-    /** Earliest tick each component can be busy (tickNever = idle). */
-    std::vector<Tick> armed;
-    /** Lazy-deletion min-heap over (armed tick, component index). */
-    std::priority_queue<std::pair<Tick, std::size_t>,
-                        std::vector<std::pair<Tick, std::size_t>>,
-                        std::greater<>>
-        wakeHeap;
-    /** Indices due at the current tick (scratch, sorted). */
-    std::vector<std::size_t> readyScratch;
-    /**
-     * Fast-path arming for the steady busy state: a component due
-     * again at exactly the next tick is appended here instead of
-     * round-tripping the heap. Entries are validated against armed[]
-     * on consumption, like lazy-deleted heap entries.
-     */
-    std::vector<std::size_t> nextDue;
 };
 
 } // namespace scusim::sim

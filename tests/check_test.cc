@@ -14,7 +14,6 @@
 #include "scu/hash_table.hh"
 #include "sim/check.hh"
 #include "sim/clocked.hh"
-#include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
 using namespace scusim;
@@ -27,18 +26,6 @@ namespace
         if (!sim::checksEnabled)                                        \
             GTEST_SKIP() << "SCUSIM_CHECK not compiled in";             \
     } while (0)
-
-TEST(CheckDeath, EventQueueRejectsSchedulingIntoThePast)
-{
-    SKIP_UNLESS_CHECKED();
-    sim::EventQueue q;
-    q.serviceUpTo(100);
-    // At the horizon is legal (an event for the current tick)...
-    q.schedule(100, [](Tick) {});
-    // ...but strictly before it would fire at the wrong time.
-    EXPECT_DEATH(q.schedule(99, [](Tick) {}),
-                 "scheduled into the past");
-}
 
 struct NullClocked : sim::Clocked
 {
@@ -127,7 +114,6 @@ TEST(CheckDeath, CoalescerWindowBoundsPanic)
 TEST(Check, PassingChecksAreSilent)
 {
     // Valid in both checked and unchecked builds.
-    sim::checkScheduleTick(5, 5);
     sim::checkMemCompletion("l2", 10, 10);
     sim::checkTickMonotonic("sm", 7, 7);
     sim::checkOccupancy("fifo", 0, 8);

@@ -224,7 +224,7 @@ makeSource(std::uint64_t count)
 
 /**
  * Drive @p a and @p b in lockstep from tick @p now until both drain,
- * the way the event scheduler would (service busy ticks, fast-forward
+ * the way the simulation loop would (service busy ticks, fast-forward
  * pure stalls). They must agree on busy(), nextWakeTick() and the
  * active cycles gained since the call at every step. Leaves the
  * drained tick in @p now and counts serviced ticks in @p serviced.

@@ -7,16 +7,16 @@
  * small integers (e.g. one fact per fifo variable meaning "a
  * full()/space() back-pressure consult happened"), generated at
  * specific tokens and never killed — within one function our
- * abstract values only strengthen (guarded stays guarded, armed
- * stays armed).
+ * abstract values only strengthen (guarded stays guarded, popped
+ * stays popped).
  *
  *  - ForwardMust: fact f holds *before* token t iff every path from
  *    the function entry to t passes a gen point of f. This is
  *    "a gen point dominates t", generalized to multiple gen sites.
  *  - BackwardMust: fact f holds *after* token t iff every path from
  *    t to the function exit passes a gen point of f — i.e. the gen
- *    points collectively post-dominate t ("a credit return / wake
- *    arm is unavoidable from here").
+ *    points collectively post-dominate t ("a credit return is
+ *    unavoidable from here").
  */
 
 #ifndef SIMLINT_DATAFLOW_HH

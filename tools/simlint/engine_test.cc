@@ -304,30 +304,6 @@ TEST(RulesTest, CompanionHeaderMakesMemberFifoVisible)
     EXPECT_EQ(rr.findings[0].rule, "fifo-unguarded-push");
 }
 
-TEST(RulesTest, WakeNotArmedNeedsPostDominatingWake)
-{
-    const char *src =
-        "struct W { BoundedFifo<int> q; };"
-        "void W::tick() { }"
-        "void W::add(int v) {"
-        "  if (q.full()) return;"
-        "  q.push(v);"
-        "}";
-    RuleResults rr = runRules(lex("t.cc", src));
-    ASSERT_EQ(rr.findings.size(), 1u);
-    EXPECT_EQ(rr.findings[0].rule, "wake-not-armed");
-
-    const char *armed =
-        "struct W { BoundedFifo<int> q; };"
-        "void W::tick() { }"
-        "void W::add(int v) {"
-        "  if (q.full()) return;"
-        "  q.push(v);"
-        "  notifyWake();"
-        "}";
-    EXPECT_TRUE(runRules(lex("t.cc", armed)).findings.empty());
-}
-
 TEST(RulesTest, DeviceZeroFoldedThroughLocalConstFires)
 {
     RuleResults rr = runRules(

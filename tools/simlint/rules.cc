@@ -204,80 +204,6 @@ ruleFifoUnguardedPush(const Engine &e, FindingSink &out)
 }
 
 /**
- * wake-not-armed: under the event-driven scheduler, a Clocked
- * component that gains pending work outside tick() must call
- * notifyWake(), or the scheduler may never service it (a hang the
- * polling oracle hides). Trigger: in a file that defines T::tick(),
- * any other member of T that pushes onto a (non-local) BoundedFifo
- * must reach a notifyWake() on every path from the push to the
- * function exit (backward must-analysis — the arm has to
- * post-dominate the enqueue).
- */
-void
-ruleWakeNotArmed(const Engine &e, FindingSink &out)
-{
-    const auto &toks = e.file.tokens;
-    std::set<std::string> clockedScopes;
-    for (const Cfg &c : e.cfgs) {
-        if (c.fnName == "tick" && !c.scopeName.empty())
-            clockedScopes.insert(c.scopeName);
-    }
-    if (clockedScopes.empty())
-        return;
-
-    for (const Cfg &cfg : e.cfgs) {
-        if (!clockedScopes.count(cfg.scopeName))
-            continue;
-        // tick() itself is re-derived by the scheduler after every
-        // delivery; constructors run before the scheduler arms.
-        if (cfg.fnName == "tick" || cfg.fnName == cfg.scopeName ||
-            cfg.fnName.empty())
-            continue;
-
-        std::vector<std::size_t> pushes;
-        std::vector<std::size_t> arms;
-        for (std::size_t i = cfg.bodyOpen;
-             i + 3 <= cfg.bodyClose; ++i) {
-            if (toks[i].isIdent() && toks[i].is("notifyWake") &&
-                i + 1 <= cfg.bodyClose && toks[i + 1].is("(")) {
-                arms.push_back(i);
-                continue;
-            }
-            if (!toks[i].isIdent() ||
-                !e.fifoSyms.has(toks[i].text))
-                continue;
-            // A fifo declared inside this very function is local
-            // scratch, not scheduler-visible pending work.
-            std::size_t decl = e.fifoSyms.declTokOf(toks[i].text);
-            if (decl != static_cast<std::size_t>(-1) &&
-                decl >= cfg.bodyOpen && decl <= cfg.bodyClose)
-                continue;
-            if ((toks[i + 1].is(".") || toks[i + 1].is("->")) &&
-                toks[i + 2].is("push") && toks[i + 3].is("("))
-                pushes.push_back(i);
-        }
-        if (pushes.empty())
-            continue;
-
-        BackwardMust bm(cfg, 1);
-        for (std::size_t a : arms)
-            bm.genAt(a, 0);
-        bm.solve();
-
-        for (std::size_t p : pushes) {
-            if (bm.holdsAfter(p, 0))
-                continue;
-            addFinding(out, e.file, toks[p].line, "wake-not-armed",
-                       "'" + cfg.scopeName + "::" + cfg.fnName +
-                           "' enqueues pending work outside tick() "
-                           "but notifyWake() does not post-dominate "
-                           "the push; the event-driven scheduler "
-                           "may never service it");
-        }
-    }
-}
-
-/**
  * device-zero-hardcode: code that receives a DeviceId but indexes a
  * per-device resource with literal 0 silently reads device 0's
  * state for every shard. The literal also counts when folded
@@ -895,13 +821,13 @@ ruleSwallowedSimError(const Engine &e, FindingSink &out)
 }
 
 /**
- * tick-every-cycle: a Clocked component's nextWakeTick() is the
- * event-driven scheduler's only lever — a body that unconditionally
- * answers "the very next tick" (no branch, never tickNever, returns
- * an expression built with '+') degrades the whole simulation back
- * to per-tick polling of that component. Wakes must be derived from
- * real component state: a cached earliest-wake tick, or tickNever
- * when idle.
+ * tick-every-cycle: a Clocked component's nextWakeTick() is what
+ * lets the simulation loop fast-forward across idle gaps — a body
+ * that unconditionally answers "the very next tick" (no branch,
+ * never tickNever, returns an expression built with '+') makes the
+ * loop service every tick while that component exists, so no idle
+ * gap is ever skipped. Wakes must be derived from real component
+ * state: a cached earliest-wake tick, or tickNever when idle.
  */
 void
 ruleTickEveryCycle(const Engine &e, FindingSink &out)
@@ -966,11 +892,10 @@ ruleTickEveryCycle(const Engine &e, FindingSink &out)
         if (!conditional && additiveReturn) {
             addFinding(out, e.file, toks[i].line, "tick-every-cycle",
                        "nextWakeTick() unconditionally returns the "
-                       "next tick, degrading the event-driven "
-                       "scheduler to per-tick polling of this "
-                       "component; derive the wake from component "
-                       "state (cache the earliest wake, return "
-                       "tickNever when idle)");
+                       "next tick, so the simulation loop can never "
+                       "fast-forward past an idle gap; derive the "
+                       "wake from component state (cache the "
+                       "earliest wake, return tickNever when idle)");
         }
         i = j;
     }
@@ -985,11 +910,6 @@ ruleRegistry()
         {"fifo-unguarded-push",
          "BoundedFifo::push() not dominated by a full()/space() "
          "back-pressure consult on the same fifo (flow-sensitive)",
-         false},
-        {"wake-not-armed",
-         "Clocked component enqueues pending work outside tick() on "
-         "a path where notifyWake() does not post-dominate the push "
-         "(event-driven scheduler may never service it)",
          false},
         {"device-zero-hardcode",
          "per-device resource indexed with literal 0 inside code "
@@ -1032,8 +952,8 @@ ruleRegistry()
          true},
         {"tick-every-cycle",
          "nextWakeTick() body that unconditionally returns the next "
-         "tick (no branch, no tickNever) — degrades the event-driven "
-         "scheduler to per-tick polling of the component",
+         "tick (no branch, no tickNever) — defeats the simulation "
+         "loop's idle fast-forward",
          false},
         {"unused-suppression",
          "simlint: allow(...) directive that suppresses no finding "
@@ -1052,7 +972,6 @@ runRules(const LexedFile &file, bool treatAsSrc,
 
     std::vector<Finding> found;
     ruleFifoUnguardedPush(e, found);
-    ruleWakeNotArmed(e, found);
     ruleDeviceZeroHardcode(e, found);
     ruleIcnCreditLeak(e, found);
     ruleNondeterminism(e, found);

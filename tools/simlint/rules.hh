@@ -2,9 +2,9 @@
  * @file
  * simlint rule registry. Each rule encodes one simulator-modeling
  * hazard. The v1 rules are heuristic token-pattern matchers; the
- * flow-sensitive rules (fifo-unguarded-push, wake-not-armed,
- * device-zero-hardcode, icn-credit-leak) run on per-function control
- * flow graphs with a must-dataflow engine (see cfg.hh, dataflow.hh).
+ * flow-sensitive rules (fifo-unguarded-push, device-zero-hardcode,
+ * icn-credit-leak) run on per-function control flow graphs with a
+ * must-dataflow engine (see cfg.hh, dataflow.hh).
  * Any finding can be suppressed with an `allow(<rule>)` control
  * comment on the finding's anchor line or the line directly above
  * it; an allow() that suppresses nothing is itself reported as

@@ -5,8 +5,8 @@
  * Scans C++ sources for modeling hazards a generic linter cannot
  * know about. v2 runs per-function control-flow graphs with a
  * must-dataflow engine under the flow-sensitive rules (unguarded
- * fifo pushes, missing scheduler wakes, hardcoded device indices,
- * leaked interconnect credits) and token heuristics for the rest.
+ * fifo pushes, hardcoded device indices, leaked interconnect
+ * credits) and token heuristics for the rest.
  *
  * Usage:
  *   simlint [options] [PATH...]        lint PATHs (default: src
