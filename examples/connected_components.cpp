@@ -119,7 +119,8 @@ main()
         }
         alg::gpuStreamKernel(
             sys, "cc_propagate", gpu::Phase::Processing, frontier_n,
-            [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
+            gpu::perThread([&](std::uint64_t t,
+                               gpu::ThreadRecorder &rec) {
                 rec.load(frontier.addrOf(t), 4);
                 NodeId u = frontier[t];
                 rec.load(gb.offsets.addrOf(u), 4);
@@ -137,7 +138,8 @@ main()
                     rec.atomic(labels.addrOf(v), 4); // atomicMin
                     rec.store(changed.addrOf(v), 4);
                 }
-            });
+            }),
+            0);
 
         // --- 2+3. SCU: mask construction + frontier compaction ---
         std::size_t next_n = 0;

@@ -55,14 +55,17 @@ BfsRunner::prepare(std::size_t nf_n)
     }
     gpuStreamKernel(
         sys, "bfs_prepare", gpu::Phase::Processing, nf_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
-            const NodeId u = nodeFrontier[t];
-            rec.load(gb.offsets.addrOf(u), 4);
-            rec.load(gb.offsets.addrOf(u + 1), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(nodeFrontier);
+            rec.load([&](std::uint64_t t) {
+                return gb.offsets.addrOf(nodeFrontier[t]);
+            });
+            rec.load([&](std::uint64_t t) {
+                return gb.offsets.addrOf(nodeFrontier[t] + 1);
+            });
             rec.compute(14);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
+            rec.store(counts);
+            rec.store(indexes);
         },
         dev);
 }
@@ -105,16 +108,22 @@ BfsRunner::contractLookup(std::size_t ef_n, std::uint32_t level)
     // Timing kernel: the status-lookup contraction of Section 2.1.2.
     gpuStreamKernel(
         sys, "bfs_contract_lookup", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(edgeFrontier.addrOf(t), 4);
-            const NodeId v = edgeFrontier[t];
-            rec.load(visitedBits.addrOf(v / 32), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            const auto bits_of = [&](std::uint64_t t) {
+                return visitedBits.addrOf(edgeFrontier[t] / 32);
+            };
+            rec.load(edgeFrontier);
+            rec.load(bits_of);
             rec.compute(24);
-            rec.store(flags.addrOf(t), 1);
-            if (flags[t]) {
-                rec.store(dist.addrOf(v), 4);
-                rec.store(visitedBits.addrOf(v / 32), 4);
-            }
+            rec.store(flags, 1);
+            const std::uint64_t marked = rec.lanesWhere(
+                [&](std::uint64_t t) { return flags[t] != 0; });
+            rec.store(
+                [&](std::uint64_t t) {
+                    return dist.addrOf(edgeFrontier[t]);
+                },
+                4, marked);
+            rec.store(bits_of, 4, marked);
         },
         dev);
 }
@@ -137,11 +146,15 @@ BfsRunner::beginRun(const AlgOptions &opt)
     std::fill(visited.begin(), visited.end(), 0);
     gpuStreamKernel(
         sys, "bfs_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
             rec.compute(2);
-            rec.store(dist.addrOf(t), 4);
-            if (t % 32 == 0)
-                rec.store(visitedBits.addrOf(t / 32), 4);
+            rec.store(dist);
+            rec.store(
+                [&](std::uint64_t t) {
+                    return visitedBits.addrOf(t / 32);
+                },
+                4,
+                rec.lanesWhere([](std::uint64_t t) { return t % 32 == 0; }));
         },
         dev);
 
@@ -210,10 +223,10 @@ BfsRunner::splitBoundary(std::vector<BoundaryMsg> &outbox)
     // against the inner-vertex bound, repacking survivors.
     gpuStreamKernel(
         sys, "bfs_boundary_split", gpu::Phase::Processing, old_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(nodeFrontier);
             rec.compute(8);
-            rec.store(nodeFrontier.addrOf(t), 4);
+            rec.store(nodeFrontier);
         },
         dev);
 }
@@ -243,13 +256,22 @@ BfsRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
     // conditionally append to the frontier.
     gpuStreamKernel(
         sys, "bfs_inject_remote", gpu::Phase::Processing, msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
-            rec.load(visitedBits.addrOf(l / 32), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            const auto bits_of = [&](std::uint64_t i) {
+                return visitedBits.addrOf(
+                    part->localOf(msgs[i].node) / 32);
+            };
+            rec.load(
+                [&](std::uint64_t i) {
+                    return inbox.addrOf(i % inbox.size());
+                },
+                8);
+            rec.load(bits_of);
             rec.compute(12);
-            rec.store(dist.addrOf(l), 4);
-            rec.store(visitedBits.addrOf(l / 32), 4);
+            rec.store([&](std::uint64_t i) {
+                return dist.addrOf(part->localOf(msgs[i].node));
+            });
+            rec.store(bits_of);
         },
         dev);
 }

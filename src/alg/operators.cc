@@ -1,6 +1,7 @@
 #include "alg/operators.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -11,14 +12,25 @@ namespace scusim::alg
 namespace
 {
 constexpr unsigned scanBlock = 256;
+
+/** What a scan input element adds: a flag counts as 0 or 1. */
+std::uint32_t
+scanValue(std::uint8_t flag)
+{
+    return flag ? 1 : 0;
+}
+
+std::uint32_t
+scanValue(std::uint32_t count)
+{
+    return count;
+}
 } // namespace
 
 gpu::KernelStats
 gpuStreamKernel(harness::System &sys, const std::string &name,
                 gpu::Phase phase, std::uint64_t threads,
-                std::function<void(std::uint64_t,
-                                   gpu::ThreadRecorder &)> body,
-                DeviceId dev)
+                gpu::KernelBody body, DeviceId dev)
 {
     gpu::KernelLaunch k;
     k.name = name;
@@ -45,12 +57,10 @@ Operators::begin(harness::ScuMode mode)
         sys.scuDevice(dev).resetFilterTables();
 }
 
+template <class T>
 void
-Operators::gpuScan(
-    const std::string &name, std::size_t n,
-    const std::function<void(std::uint64_t, gpu::ThreadRecorder &)>
-        &load_input,
-    const std::function<std::uint32_t(std::size_t)> &value_of)
+Operators::gpuScan(const std::string &name,
+                   const mem::DeviceArray<T> &input, std::size_t n)
 {
     panic_if(scanned.size() < n + 1, "scan scratch too small (%zu < %zu)",
              scanned.size(), n + 1);
@@ -59,21 +69,27 @@ Operators::gpuScan(
     std::uint32_t running = 0;
     for (std::size_t i = 0; i < n; ++i) {
         scanned[i] = running;
-        running += value_of(i);
+        running += scanValue(input[i]);
     }
     scanned[n] = running;
 
     // Kernel 1: block-local scan. Each thread loads its input,
     // participates in a shared-memory tree scan (~8 ops) and stores
-    // its local prefix.
+    // its local prefix; the last thread of each block, and of the
+    // scan, stores the block sum.
     gpuStreamKernel(
         sys, name + "_scan_local", gpu::Phase::Compaction, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            load_input(t, rec);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(input, sizeof(T));
             rec.compute(18);
-            rec.store(scanned.addrOf(t), 4);
-            if (t % scanBlock == scanBlock - 1 || t == n - 1)
-                rec.store(blockSums.addrOf(t / scanBlock), 4);
+            rec.store(scanned);
+            rec.store(
+                [&](std::uint64_t t) {
+                    return blockSums.addrOf(t / scanBlock);
+                },
+                4, rec.lanesWhere([&](std::uint64_t t) {
+                    return t % scanBlock == scanBlock - 1 || t == n - 1;
+                }));
         },
         dev);
 
@@ -83,10 +99,10 @@ Operators::gpuScan(
     const std::uint64_t blocks = divCeil(n, scanBlock);
     gpuStreamKernel(
         sys, name + "_scan_blocks", gpu::Phase::Compaction, blocks,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(blockSums.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(blockSums);
             rec.compute(12);
-            rec.store(blockSums.addrOf(t), 4);
+            rec.store(blockSums);
         },
         dev);
 }
@@ -179,13 +195,29 @@ Operators::expand(const std::string &name, const Elems &indexes,
             });
     }
 
-    gpuScan(
-        name, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(counts.addrOf(t), 4);
-        },
-        [&](std::size_t i) -> std::uint32_t { return counts[i]; });
+    gpuScan(name, counts, n);
     const std::size_t total = scanned[n];
+
+    // Functional gather: output element t belongs to the last input
+    // element i with scanned[i] <= t.
+    for (const auto &o : outputs) {
+        panic_if(total > 0 && total - 1 >= o.out->size(),
+                 "%s output overflow", name.c_str());
+    }
+    for (std::size_t t = 0, i = 0; t < total; ++t) {
+        while (scanned[i + 1] <= t)
+            ++i;
+        const std::uint32_t e =
+            indexes[i] + static_cast<std::uint32_t>(t - scanned[i]);
+        for (const auto &o : outputs) {
+            std::uint32_t v = 0;
+            if (o.gather)
+                v = (*o.gather)[e];
+            if (o.replicate)
+                v += (*o.replicate)[i];
+            (*o.out)[t] = v;
+        }
+    }
 
     // Gather kernel: one thread per produced element. The Merrill
     // load-balancing search is CTA-cooperative: a coarse partition
@@ -195,39 +227,50 @@ Operators::expand(const std::string &name, const Elems &indexes,
     // binary search over global memory.
     gpuStreamKernel(
         sys, name + "_gather", gpu::Phase::Compaction, total,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            // Owner lookup (functional, exact).
-            auto it = std::upper_bound(
-                scanned.host().begin(),
-                scanned.host().begin() +
-                    static_cast<std::ptrdiff_t>(n) + 1,
-                static_cast<std::uint32_t>(t));
-            std::size_t i = static_cast<std::size_t>(
-                it - scanned.host().begin()) - 1;
-            const auto j = static_cast<std::uint32_t>(t - scanned[i]);
+        [&](std::uint64_t first, unsigned lanes, gpu::WarpRecorder &rec) {
+            // Owner of each lane's element: one search for the
+            // warp's first element, then a walk forward.
+            std::array<std::uint32_t, 64> owner{};
+            const auto &sc = scanned.host();
+            auto i = static_cast<std::uint32_t>(
+                std::upper_bound(sc.begin(),
+                                 sc.begin() +
+                                     static_cast<std::ptrdiff_t>(n) + 1,
+                                 static_cast<std::uint32_t>(first)) -
+                sc.begin() - 1);
+            for (unsigned l = 0; l < lanes; ++l) {
+                while (sc[i + 1] <= first + l)
+                    ++i;
+                owner[l] = i;
+            }
+            const auto owner_of = [&](std::uint64_t t) {
+                return owner[t - first];
+            };
 
             // Timing: two probes into the scanned array around the
             // owning run plus the shared-memory refinement.
-            rec.load(scanned.addrOf(i), 4);
-            if (i + 1 <= n)
-                rec.load(scanned.addrOf(i + 1), 4);
+            rec.load([&](std::uint64_t t) {
+                return scanned.addrOf(owner_of(t));
+            });
+            rec.load([&](std::uint64_t t) {
+                return scanned.addrOf(owner_of(t) + 1);
+            });
             rec.compute(24);
-
             for (const auto &o : outputs) {
-                std::uint32_t v = 0;
                 if (o.gather) {
-                    const std::uint32_t e = indexes[i] + j;
-                    rec.load(o.gather->addrOf(e), 4);
-                    v = (*o.gather)[e];
+                    rec.load([&](std::uint64_t t) {
+                        const std::uint32_t own = owner_of(t);
+                        return o.gather->addrOf(
+                            indexes[own] +
+                            static_cast<std::uint32_t>(t - sc[own]));
+                    });
                 }
                 if (o.replicate) {
-                    rec.load(o.replicate->addrOf(i), 4);
-                    v += (*o.replicate)[i];
+                    rec.load([&](std::uint64_t t) {
+                        return o.replicate->addrOf(owner_of(t));
+                    });
                 }
-                panic_if(t >= o.out->size(), "%s output overflow",
-                         name.c_str());
-                (*o.out)[t] = v;
-                rec.store(o.out->addrOf(t), 4);
+                rec.store(*o.out);
             }
         },
         dev);
@@ -255,31 +298,39 @@ Operators::compact(const std::string &name,
         return;
     }
 
-    gpuScan(
-        name, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(flags.addrOf(t), 1);
-        },
-        [&](std::size_t i) -> std::uint32_t { return flags[i] ? 1 : 0; });
+    gpuScan(name, flags, n);
 
-    // Scatter kernel: every flagged element copies each stream's
+    // Functional scatter: every flagged element copies each stream's
     // value to the packed position.
     const std::size_t base = out_n;
+    for (const auto &s : streams) {
+        panic_if(scanned[n] > 0 && base + scanned[n] - 1 >= s.out->size(),
+                 "%s output overflow", name.c_str());
+    }
+    for (std::size_t t = 0; t < n; ++t) {
+        if (!flags[t])
+            continue;
+        for (const auto &s : streams)
+            (*s.out)[base + scanned[t]] = (*s.in)[t];
+    }
+
+    // Scatter kernel: every thread loads its flag and scan offset,
+    // and the flagged ones copy each stream's element.
     gpuStreamKernel(
         sys, name + "_scatter", gpu::Phase::Compaction, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(flags.addrOf(t), 1);
-            rec.load(scanned.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(flags, 1);
+            rec.load(scanned);
             rec.compute(12);
-            if (!flags[t])
-                return;
-            const std::size_t pos = base + scanned[t];
+            const std::uint64_t flagged = rec.lanesWhere(
+                [&](std::uint64_t t) { return flags[t] != 0; });
             for (const auto &s : streams) {
-                rec.load(s.in->addrOf(t), 4);
-                panic_if(pos >= s.out->size(), "%s output overflow",
-                         name.c_str());
-                (*s.out)[pos] = (*s.in)[t];
-                rec.store(s.out->addrOf(pos), 4);
+                rec.load(*s.in, 4, flagged);
+                rec.store(
+                    [&](std::uint64_t t) {
+                        return s.out->addrOf(base + scanned[t]);
+                    },
+                    4, flagged);
             }
         },
         dev);

@@ -43,13 +43,11 @@ namespace scusim::alg
 using Elems = mem::DeviceArray<std::uint32_t>;
 using Flags = mem::DeviceArray<std::uint8_t>;
 
-/** Launch a simple one-op-per-thread kernel. */
+/** Launch a kernel of @p threads threads on device @p dev. */
 gpu::KernelStats
 gpuStreamKernel(harness::System &sys, const std::string &name,
                 gpu::Phase phase, std::uint64_t threads,
-                std::function<void(std::uint64_t,
-                                   gpu::ThreadRecorder &)> body,
-                DeviceId dev = 0);
+                gpu::KernelBody body, DeviceId dev);
 
 /**
  * One output stream of an expansion. Output element (i, j) — input
@@ -133,16 +131,13 @@ class Operators
 
   private:
     /**
-     * The two scan kernels over @p n elements whose input loads
-     * @p load_input records; fills `scanned` with the exclusive scan
-     * of the values @p value_of yields.
+     * The two scan kernels over the first @p n elements of @p input
+     * (counts, or flags that count as 0 or 1); fills `scanned` with
+     * their exclusive scan.
      */
-    void gpuScan(const std::string &name, std::size_t n,
-                 const std::function<void(std::uint64_t,
-                                          gpu::ThreadRecorder &)>
-                     &load_input,
-                 const std::function<std::uint32_t(std::size_t)>
-                     &value_of);
+    template <class T>
+    void gpuScan(const std::string &name,
+                 const mem::DeviceArray<T> &input, std::size_t n);
 
     /** One SCU operation writing stream @p s of the call. */
     using StreamOp = std::function<scu::ScuOpStats(

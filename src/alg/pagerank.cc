@@ -63,10 +63,10 @@ PageRankRunner::beginRun(const AlgOptions &opt)
     }
     gpuStreamKernel(
         sys, "pr_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
             rec.compute(2);
-            rec.store(rankBits.addrOf(t), 4);
-            rec.store(newRankBits.addrOf(t), 4);
+            rec.store(rankBits);
+            rec.store(newRankBits);
         },
         dev);
 }
@@ -92,14 +92,16 @@ PageRankRunner::iterate(AlgMetrics &m,
     }
     gpuStreamKernel(
         sys, "pr_prepare", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(rankBits.addrOf(t), 4);
-            rec.load(gb.offsets.addrOf(t), 4);
-            rec.load(gb.offsets.addrOf(t + 1), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(rankBits);
+            rec.load(gb.offsets);
+            rec.load([&](std::uint64_t t) {
+                return gb.offsets.addrOf(t + 1);
+            });
             rec.compute(16);
-            rec.store(contribBits.addrOf(t), 4);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
+            rec.store(contribBits);
+            rec.store(counts);
+            rec.store(indexes);
         },
         dev);
 
@@ -121,11 +123,13 @@ PageRankRunner::iterate(AlgMetrics &m,
     }
     gpuStreamKernel(
         sys, "pr_rank_update", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(edgeFrontier.addrOf(t), 4);
-            rec.load(weightFrontier.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(edgeFrontier);
+            rec.load(weightFrontier);
             rec.compute(12);
-            rec.atomic(newRankBits.addrOf(edgeFrontier[t]), 4);
+            rec.atomic([&](std::uint64_t t) {
+                return newRankBits.addrOf(edgeFrontier[t]);
+            });
         },
         dev);
 
@@ -142,10 +146,13 @@ PageRankRunner::iterate(AlgMetrics &m,
         gpuStreamKernel(
             sys, "pr_ghost_flush", gpu::Phase::Processing,
             frag->numOuter,
-            [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-                rec.load(newRankBits.addrOf(frag->numInner + t), 4);
+            [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+                const auto ghost = [&](std::uint64_t t) {
+                    return newRankBits.addrOf(frag->numInner + t);
+                };
+                rec.load(ghost);
                 rec.compute(6);
-                rec.store(newRankBits.addrOf(frag->numInner + t), 4);
+                rec.store(ghost);
             },
             dev);
     }
@@ -168,11 +175,16 @@ PageRankRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
     }
     gpuStreamKernel(
         sys, "pr_inject_remote", gpu::Phase::Processing, msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(
+                [&](std::uint64_t i) {
+                    return inbox.addrOf(i % inbox.size());
+                },
+                8);
             rec.compute(8);
-            rec.atomic(newRankBits.addrOf(l), 4);
+            rec.atomic([&](std::uint64_t i) {
+                return newRankBits.addrOf(part->localOf(msgs[i].node));
+            });
         },
         dev);
 }
@@ -196,12 +208,12 @@ PageRankRunner::dampen()
     }
     gpuStreamKernel(
         sys, "pr_dampen", gpu::Phase::Processing, lim,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(newRankBits.addrOf(t), 4);
-            rec.load(rankBits.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(newRankBits);
+            rec.load(rankBits);
             rec.compute(12);
-            rec.store(rankBits.addrOf(t), 4);
-            rec.store(newRankBits.addrOf(t), 4);
+            rec.store(rankBits);
+            rec.store(newRankBits);
         },
         dev);
     // The convergence reduction is fused into the dampening

@@ -96,16 +96,21 @@ SsspRunner::prepare(std::size_t nf_n)
     }
     gpuStreamKernel(
         sys, "sssp_prepare", gpu::Phase::Processing, nf_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(nodeFrontier.addrOf(t), 4);
-            const NodeId u = nodeFrontier[t];
-            rec.load(gb.offsets.addrOf(u), 4);
-            rec.load(gb.offsets.addrOf(u + 1), 4);
-            rec.load(dist.addrOf(u), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(nodeFrontier);
+            rec.load([&](std::uint64_t t) {
+                return gb.offsets.addrOf(nodeFrontier[t]);
+            });
+            rec.load([&](std::uint64_t t) {
+                return gb.offsets.addrOf(nodeFrontier[t] + 1);
+            });
+            rec.load([&](std::uint64_t t) {
+                return dist.addrOf(nodeFrontier[t]);
+            });
             rec.compute(16);
-            rec.store(counts.addrOf(t), 4);
-            rec.store(indexes.addrOf(t), 4);
-            rec.store(srcDist.addrOf(t), 4);
+            rec.store(counts);
+            rec.store(indexes);
+            rec.store(srcDist);
         },
         dev);
 }
@@ -149,9 +154,12 @@ SsspRunner::contract(std::size_t ef_n, AlgMetrics &m,
             nearFlags[t] = 0;
     }
 
+    // The atomic sits mid-stream, so lanes that skip it run their
+    // flag stores ahead of the others, and the warp's instruction
+    // order depends on its lowest lane: the per-thread merge decides.
     gpuStreamKernel(
         sys, "sssp_contract", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
+        gpu::perThread([&](std::uint64_t t, gpu::ThreadRecorder &rec) {
             rec.load(edgeFrontier.addrOf(t), 4);
             rec.load(weightFrontier.addrOf(t), 4);
             const NodeId v = edgeFrontier[t];
@@ -167,7 +175,7 @@ SsspRunner::contract(std::size_t ef_n, AlgMetrics &m,
                 rec.atomic(dist.addrOf(v), 4);
             rec.store(nearFlags.addrOf(t), 1);
             rec.store(farFlags.addrOf(t), 1);
-        },
+        }),
         dev);
 }
 
@@ -204,17 +212,20 @@ SsspRunner::splitFarPile(std::size_t far_n, std::uint32_t threshold)
 
     gpuStreamKernel(
         sys, "sssp_far_split", gpu::Phase::Processing, far_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(fe.addrOf(t), 4);
-            rec.load(fw.addrOf(t), 4);
-            rec.load(dist.addrOf(fe[t]), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            const auto lookup = [&](std::uint64_t t) {
+                return lookupTable.addrOf(fe[t]);
+            };
+            rec.load(fe);
+            rec.load(fw);
+            rec.load([&](std::uint64_t t) { return dist.addrOf(fe[t]); });
             rec.compute(20);
             if (gpu_dedup) {
-                rec.store(lookupTable.addrOf(fe[t]), 4);
-                rec.load(lookupTable.addrOf(fe[t]), 4);
+                rec.store(lookup);
+                rec.load(lookup);
             }
-            rec.store(nearFlags.addrOf(t), 1);
-            rec.store(farFlags.addrOf(t), 1);
+            rec.store(nearFlags, 1);
+            rec.store(farFlags, 1);
         },
         dev);
 }
@@ -237,10 +248,10 @@ SsspRunner::beginRun(const AlgOptions &opt)
     std::fill(dist.host().begin(), dist.host().end(), infDist);
     gpuStreamKernel(
         sys, "sssp_init", gpu::Phase::Processing, n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
             rec.compute(2);
-            rec.store(dist.addrOf(t), 4);
-            rec.store(lookupTable.addrOf(t), 4);
+            rec.store(dist);
+            rec.store(lookupTable);
         },
         dev);
 
@@ -302,11 +313,11 @@ SsspRunner::expand(AlgMetrics &m)
         weightFrontier[t] = gatherWeights[t] + replDist[t];
     gpuStreamKernel(
         sys, "sssp_wf_add", gpu::Phase::Processing, ef_n,
-        [&](std::uint64_t t, gpu::ThreadRecorder &rec) {
-            rec.load(gatherWeights.addrOf(t), 4);
-            rec.load(replDist.addrOf(t), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            rec.load(gatherWeights);
+            rec.load(replDist);
             rec.compute(6);
-            rec.store(weightFrontier.addrOf(t), 4);
+            rec.store(weightFrontier);
         },
         dev);
     return ef_n;
@@ -403,12 +414,18 @@ SsspRunner::acceptRemote(std::span<const BoundaryMsg> msgs)
     gpuStreamKernel(
         sys, "sssp_inject_remote", gpu::Phase::Processing,
         msgs.size(),
-        [&](std::uint64_t i, gpu::ThreadRecorder &rec) {
-            rec.load(inbox.addrOf(i % inbox.size()), 8);
-            const NodeId l = part->localOf(msgs[i].node);
-            rec.load(dist.addrOf(l), 4);
+        [&](std::uint64_t, unsigned, gpu::WarpRecorder &rec) {
+            const auto label = [&](std::uint64_t i) {
+                return dist.addrOf(part->localOf(msgs[i].node));
+            };
+            rec.load(
+                [&](std::uint64_t i) {
+                    return inbox.addrOf(i % inbox.size());
+                },
+                8);
+            rec.load(label);
             rec.compute(14);
-            rec.atomic(dist.addrOf(l), 4);
+            rec.atomic(label);
         },
         dev);
 }

@@ -38,67 +38,71 @@ Gpu::buildWarp(const KernelLaunch &k, std::uint64_t warp_id,
                unsigned warp_size, Warp &out)
 {
     const std::uint64_t first = warp_id * warp_size;
-    const std::uint64_t last =
-        std::min<std::uint64_t>(first + warp_size, k.numThreads);
-    const unsigned threads = static_cast<unsigned>(last - first);
-    out.threads = threads;
+    const auto lanes = static_cast<unsigned>(
+        std::min<std::uint64_t>(warp_size, k.numThreads - first));
+    out.threads = lanes;
+    WarpRecorder rec(first, lanes, out);
+    k.body(first, lanes, rec);
+}
 
-    // Record every lane back to back into one recorder: lane i's ops
-    // are ops[pos[i], end[i]), and bit i of `live` is set while lane
-    // i has ops left.
-    thread_local ThreadRecorder rec;
-    rec.clear();
-    std::array<std::uint32_t, 64> pos{};
-    std::array<std::uint32_t, 64> end{};
-    std::uint64_t live = 0;
-    for (unsigned i = 0; i < threads; ++i) {
-        pos[i] = static_cast<std::uint32_t>(rec.size());
-        k.body(first + i, rec);
-        end[i] = static_cast<std::uint32_t>(rec.size());
-        if (end[i] != pos[i])
-            live |= std::uint64_t{1} << i;
-    }
-    const ThreadOp *ops = rec.recorded().data();
+KernelBody
+perThread(ThreadBody body)
+{
+    return [body = std::move(body)](std::uint64_t first, unsigned lanes,
+                                    WarpRecorder &rec) {
+        // Record every lane back to back into one recorder: lane i's
+        // ops are ops[pos[i], end[i]), and bit i of `live` is set
+        // while lane i has ops left.
+        thread_local ThreadRecorder lane_ops;
+        lane_ops.clear();
+        std::array<std::uint32_t, 64> pos{};
+        std::array<std::uint32_t, 64> end{};
+        std::uint64_t live = 0;
+        for (unsigned i = 0; i < lanes; ++i) {
+            pos[i] = static_cast<std::uint32_t>(lane_ops.size());
+            body(first + i, lane_ops);
+            end[i] = static_cast<std::uint32_t>(lane_ops.size());
+            if (end[i] != pos[i])
+                live |= std::uint64_t{1} << i;
+        }
+        const ThreadOp *ops = lane_ops.recorded().data();
 
-    // Positional SIMT merge, led by the lowest live lane. The lane
-    // loop accumulates into locals: written through `wi`, every field
-    // update would be reloaded after each address-slot store.
-    while (live) {
-        const ThreadOp::Kind kind = ops[pos[ctz64(live)]].kind;
-        WarpInstr wi;
-        wi.kind = kind;
-        Addr *slots = nullptr;
-        if (kind != ThreadOp::Kind::Compute) {
-            // Slot-per-lane handoff: lane i's address lives in slot
-            // addrBase + i, the mask says which slots participate.
-            wi.addrBase = static_cast<std::uint32_t>(out.addrs.size());
-            out.addrs.resize(out.addrs.size() + threads, 0);
-            slots = out.addrs.data() + wi.addrBase;
+        // Positional SIMT merge, led by the lowest live lane.
+        std::array<Addr, 64> addr{};
+        const auto addr_of = [&](std::uint64_t t) {
+            return addr[t - first];
+        };
+        while (live) {
+            const ThreadOp::Kind kind = ops[pos[ctz64(live)]].kind;
+            std::uint32_t count = 0;
+            std::uint64_t mask = 0;
+            for (std::uint64_t m = live; m; m &= m - 1) {
+                const unsigned i = ctz64(m);
+                const ThreadOp &op = ops[pos[i]];
+                if (op.kind != kind)
+                    continue;
+                count = std::max(count, op.count);
+                addr[i] = op.addr;
+                mask |= std::uint64_t{1} << i;
+                if (++pos[i] == end[i])
+                    live &= ~(std::uint64_t{1} << i);
+            }
+            switch (kind) {
+            case ThreadOp::Kind::Compute:
+                rec.compute(count);
+                break;
+            case ThreadOp::Kind::Load:
+                rec.load(addr_of, count, mask);
+                break;
+            case ThreadOp::Kind::Store:
+                rec.store(addr_of, count, mask);
+                break;
+            case ThreadOp::Kind::Atomic:
+                rec.atomic(addr_of, count, mask);
+                break;
+            }
         }
-        std::uint32_t count = 0;
-        std::uint64_t mask = 0;
-        for (std::uint64_t m = live; m; m &= m - 1) {
-            const unsigned i = ctz64(m);
-            const ThreadOp &op = ops[pos[i]];
-            if (op.kind != kind)
-                continue;
-            count = std::max(count, op.count);
-            if (slots)
-                slots[i] = op.addr;
-            mask |= std::uint64_t{1} << i;
-            if (++pos[i] == end[i])
-                live &= ~(std::uint64_t{1} << i);
-        }
-        // A compute step issues at least once; a memory step moves at
-        // least the default 4 bytes per lane.
-        if (kind == ThreadOp::Kind::Compute) {
-            wi.computeCount = std::max(count, 1u);
-        } else {
-            wi.laneMask = mask;
-            wi.bytesPerLane = std::max(wi.bytesPerLane, count);
-        }
-        out.instrs.push_back(wi);
-    }
+    };
 }
 
 KernelStats

@@ -78,12 +78,8 @@ class Gpu
                      const std::string &prefix = "");
 
     /**
-     * Merge the thread op lists of warp @p warp_id (threads
-     * [warp_id * warp_size, ...) of @p k) into a SIMT stream appended
-     * to @p out: at each step the kind of the lowest unfinished lane's
-     * current op executes, and lanes whose current op differs
-     * (divergent paths) wait for a later step. Each memory
-     * instruction appends warp-width address slots to out.addrs.
+     * Build warp @p warp_id (threads [warp_id * warp_size, ...) of
+     * @p k) by running @p k's body over it, appending to @p out.
      * @p warp_size is at most 64, the lane-mask width.
      */
     static void buildWarp(const KernelLaunch &k, std::uint64_t warp_id,

@@ -46,46 +46,6 @@ class TraceChannel;
 namespace scusim::gpu
 {
 
-/** One warp-level instruction after SIMT lane merging. */
-struct WarpInstr
-{
-    ThreadOp::Kind kind = ThreadOp::Kind::Compute;
-    std::uint32_t computeCount = 0;  ///< Compute: instructions
-    std::uint32_t bytesPerLane = 4;  ///< mem ops
-    /**
-     * Mem ops: offset of this instruction's address slots in the
-     * owning warp's `Warp::addrs` pool. Lane i's address is
-     * addrs[addrBase + i] for i < Warp::threads; slots whose laneMask
-     * bit is clear are don't-care. Compute ops leave it unused. The
-     * coalescer consumes the (span, laneMask) pair directly.
-     */
-    std::uint32_t addrBase = 0;
-    /** Active lanes of a mem op: bit i set means lane i participates. */
-    std::uint64_t laneMask = 0;
-};
-
-/**
- * A warp as handed over by the dispatcher: merged instruction stream,
- * the address pool its memory instructions index, and initial
- * pipeline state. The SM unpacks it into its SoA arrays on refill;
- * this struct is the handoff/test-construction type, not the resident
- * representation. The SM hands the source a Warp whose vectors are
- * empty but may carry capacity recycled from a retired warp, so a
- * source appends to them rather than replacing them.
- */
-struct Warp
-{
-    std::vector<WarpInstr> instrs;
-    std::vector<Addr> addrs; ///< lane-address pool (see addrBase)
-    std::size_t pc = 0;
-    std::uint32_t computeLeft = 0; ///< remaining issues of current op
-    Tick blockedUntil = 0;
-    unsigned threads = 0; ///< active thread count (last warp may be
-                          ///< partial)
-
-    bool done() const { return pc >= instrs.size(); }
-};
-
 /**
  * Builds the next warp for an SM, or returns false when the kernel
  * has no more warps for it. Supplied by the Gpu dispatcher.
